@@ -34,15 +34,39 @@
 //! Records are shuffled by **index** and processed through `&[&Record]`
 //! borrows; no record payload is cloned per inspection.
 //!
+//! ## One streaming pass
+//!
+//! The `DeepBase` engine is one algorithm (§5): stream a block, source
+//! the unit columns, evaluate the hypotheses, update the measures, and
+//! stop once every pair has converged. One executor runs it for every
+//! caller — plain and batched INSPECT, store-backed scans, multi-segment
+//! datasets, view builds and refreshes. It runs one shuffled **stream per
+//! dataset segment** (a dataset built by [`Dataset::new`] is the
+//! one-segment case), each bound to an optional per-segment store
+//! source, and folds the streams' measure states in segment order. Its
+//! only stopping switch is derived from its inputs:
+//!
+//! * **Converge** — one segment, and not a view pass. A pair stops being
+//!   fed once its error is within ε, the stream stops reading once every
+//!   pair has converged, and merged (model-merging) states are allowed.
+//! * **Full pass** — several segments, or a view build/refresh. Every
+//!   block of every segment is processed, segment streams are seeded by
+//!   `(seed, segment index)` and fan out across the pool on the parallel
+//!   device, and per-hypothesis states are folded in segment order with
+//!   [`crate::measure::MeasureState::merge_from`]. Scores are therefore
+//!   independent of device and schedule, and a view refresh that folds
+//!   only the new segments into stored states equals a cold rebuild. ε
+//!   only classifies the pairs still pending.
+//!
 //! ## Multi-query sharing
 //!
 //! Inspection amortizes (§5): many hypotheses and measures over the same
 //! model share one extraction pass. [`inspect_shared`] is the multi-request
-//! entry point the physical plans of [`crate::plan`] execute through (the
-//! engine consumes the [`InspectionRequest`]s a plan produces, never raw
-//! query ASTs): it takes N member requests that name the *same*
-//! `(extractor, dataset)` pair and runs them through a **single**
-//! streaming pass —
+//! entry point; the physical plans of [`crate::plan`] execute through the
+//! same pass (the engine consumes the [`InspectionRequest`]s a plan
+//! produces, never raw query ASTs). It takes N member requests that name
+//! the *same* `(extractor, dataset)` pair and runs them through a
+//! **single** streaming pass —
 //!
 //! * unit behaviors are extracted once per block for the *union* of all
 //!   member unit columns and demuxed per group
@@ -78,7 +102,7 @@ use crate::cache::HypothesisCache;
 use crate::error::DniError;
 use crate::extract::{ColumnDemux, Extractor};
 use crate::measure::{Measure, MeasureKind, MeasureState, MergedState};
-use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, UnitGroup};
+use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, SegmentInfo, UnitGroup};
 use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, RowSpan, ScoreRow};
 use deepbase_relational as rel;
 use deepbase_stats::split::shuffled_indices;
@@ -406,8 +430,8 @@ fn validate_request(req: &InspectionRequest<'_>) -> Result<(), DniError> {
 ///
 /// A configured [`RunBudget`] applies: the streaming `DeepBase` engine
 /// degrades gracefully on an interrupted run (the frame holds the current
-/// estimates; use [`inspect_shared_store`] to also observe the
-/// [`Completion`] tag), the materializing engines surface
+/// estimates; use [`inspect_shared`] to also observe the [`Completion`]
+/// tag), the materializing engines surface
 /// [`DniError::DeadlineExceeded`] / [`DniError::Cancelled`].
 pub fn inspect(
     req: &InspectionRequest<'_>,
@@ -760,8 +784,9 @@ pub struct SharedOutcome {
     /// Accounting for the shared streaming pass itself: the union stream's
     /// records/blocks and phase timings.
     pub pass: Profile,
-    /// Extraction passes over the dataset: 1 on the shared streaming
-    /// path, one per member on the fallback path.
+    /// Extraction passes over the dataset: 1 on a converging pass, one
+    /// per streamed segment on a full pass, one per member on the
+    /// fallback path.
     pub extraction_passes: usize,
     /// Behavior-store accounting for the pass (all zeros when no store
     /// source was supplied): blocks scanned/written, pool hit/miss/evict
@@ -776,18 +801,19 @@ pub struct SharedOutcome {
     pub completion: Completion,
 }
 
-/// The optimizer's store decision for one shared pass: the column key
-/// fingerprints, the plan-time hit/partial/miss split, and the policy
-/// flags. Produced by [`crate::plan`], carried in its
-/// `GroupSource::StoreScan`, and bound to an open store as a
-/// [`StoreSource`] at execution time.
+/// The optimizer's store decision for one dataset segment of a shared
+/// pass: the column key fingerprints, the plan-time hit/partial split
+/// (every other union unit column extracts live), and the policy flags.
+/// Produced by [`crate::plan`], carried per segment in its
+/// `GroupSource::Store`, and bound to an open store at execution time.
 #[derive(Debug, Clone)]
 pub struct StorePlan {
     /// Content fingerprint of the pass's model.
     pub model_fp: u64,
-    /// Content fingerprint of the pass's dataset — or, on a segmented
-    /// pass, of the one **segment** this plan covers (store columns are
-    /// keyed per segment so appends leave old segments warm).
+    /// Content fingerprint of the one **segment** this plan covers (store
+    /// columns are keyed per segment so appends leave old segments warm;
+    /// a one-segment dataset's segment fingerprint is its content
+    /// fingerprint).
     pub dataset_fp: u64,
     /// Union unit columns with a *complete* stored column at plan time.
     pub hits: Vec<usize>,
@@ -795,10 +821,6 @@ pub struct StorePlan {
     /// prefix of an earlier early-stopped pass): scanned up to their
     /// watermark, extracted live past it.
     pub partials: Vec<usize>,
-    /// Union unit columns that will be extracted live.
-    pub misses: Vec<usize>,
-    /// Scan stored columns (off under a write-only policy).
-    pub read: bool,
     /// Persist newly extracted columns after a fully streamed pass.
     pub write: bool,
     /// Skip write-back capture when the missing columns would buffer more
@@ -814,7 +836,7 @@ pub struct StorePlan {
     pub pruned_estimate: Option<(usize, usize)>,
 }
 
-/// A store-backed unit-behavior source for one shared pass: a
+/// A store-backed unit-behavior source for one segment stream: a
 /// [`StorePlan`] bound to its open [`BehaviorStore`].
 ///
 /// The engine intersects the plan's `hits` with the pass's union unit
@@ -822,16 +844,14 @@ pub struct StorePlan {
 /// the buffer pool (checksums verified per block), the rest are
 /// extracted live in a single narrowed extractor call per block and
 /// merged into the union stream. With `write` set, the live-extracted
-/// columns are buffered and persisted at the end of a fully streamed
-/// pass (a pass that early-stops has only seen a subset of the records
-/// and persists nothing). A column that fails a checksum mid-pass is
+/// columns are buffered and persisted at the end of the stream: complete
+/// columns after a fully streamed segment, watermarked partial columns
+/// after an early stop. A column that fails a checksum mid-pass is
 /// quarantined and demoted to live extraction for the remaining blocks —
 /// results stay bit-identical because stored columns hold exactly what
 /// the extractor would produce.
-pub struct StoreSource {
-    /// The open store.
+pub(crate) struct StoreSource {
     pub store: Arc<BehaviorStore>,
-    /// The optimizer's decision for this pass.
     pub plan: StorePlan,
 }
 
@@ -882,14 +902,8 @@ struct WbUnit {
 impl<'s> StorePass<'s> {
     fn new(source: &'s StoreSource, union_units: &[usize], nd: usize, ns: usize) -> StorePass<'s> {
         let plan = &source.plan;
-        let (hit_plan, partial_plan): (HashSet<usize>, HashSet<usize>) = if plan.read {
-            (
-                plan.hits.iter().copied().collect(),
-                plan.partials.iter().copied().collect(),
-            )
-        } else {
-            (HashSet::new(), HashSet::new())
-        };
+        let hit_plan: HashSet<usize> = plan.hits.iter().copied().collect();
+        let partial_plan: HashSet<usize> = plan.partials.iter().copied().collect();
         let mut stats = StoreStats::default();
         let mut hits: Vec<usize> = Vec::new();
         let mut partials: Vec<(usize, Coverage)> = Vec::new();
@@ -1208,68 +1222,143 @@ enum SlotKey {
     Merged(Vec<usize>, String, Vec<usize>),
 }
 
-enum SlotState {
-    PerHyp {
-        /// `None` once converged (stop feeding).
-        state: Option<Box<dyn MeasureState>>,
-        /// Column index into the union hypothesis set.
-        hyp: usize,
-        result: Option<PairResult>,
-        /// Convergence error after the last processed block
-        /// (`f32::INFINITY` before the first); reported for pairs still
-        /// pending when an interrupted pass stops.
-        last_err: f32,
-    },
-    Merged {
-        state: Box<dyn MergedState>,
-        /// Column indices into the union hypothesis set, in slot order.
-        hyps: Vec<usize>,
-        done: bool,
-        results: Vec<Option<PairResult>>,
-        /// Per-hypothesis convergence errors after the last processed
-        /// block (`f32::INFINITY` before the first).
-        last_errs: Vec<f32>,
-    },
-}
-
-struct SharedSlot {
+/// One deduplicated measure-state slot of a pass: what every stream
+/// feeds, and the rows it emits into the merged frame.
+struct SharedSlot<'m> {
     /// Index into the unique unit-selection list.
     sel: usize,
     eps: f32,
-    measure_id: String,
+    /// The measure of the first registrant; later segment streams mint
+    /// their fresh states from it.
+    measure: &'m dyn Measure,
     /// Canonical ids for merged-frame rows (first registrant; members
     /// rebrand during demux).
     model_id: String,
     group_id: String,
-    state: SlotState,
+    /// Union hypothesis columns the slot scores: one for a
+    /// per-hypothesis state, the ordered list for a merged one.
+    hyps: Vec<usize>,
 }
 
-impl SharedSlot {
-    fn converged(&self) -> bool {
-        match &self.state {
-            SlotState::PerHyp { state, .. } => state.is_none(),
-            SlotState::Merged { done, .. } => *done,
+enum SlotState {
+    PerHyp(Box<dyn MeasureState>),
+    /// One composite model over all of the slot's hypotheses (§5.2.1).
+    Merged(Box<dyn MergedState>),
+}
+
+/// One slot's progress within one stream.
+struct StreamSlot {
+    state: SlotState,
+    /// Set once every error is within ε (stop feeding); only a
+    /// converging stream sets it.
+    converged: bool,
+    /// Per-hypothesis convergence errors after the last processed block
+    /// (`f32::INFINITY` before the first), refreshed by every
+    /// cross-segment merge; they classify the pairs still pending.
+    errs: Vec<f32>,
+}
+
+impl StreamSlot {
+    fn new(state: SlotState, n_hyps: usize) -> StreamSlot {
+        StreamSlot {
+            state,
+            converged: false,
+            errs: vec![f32::INFINITY; n_hyps],
         }
+    }
+
+    /// The current scores of the slot's `h`-th hypothesis.
+    fn scores(&self, h: usize) -> PairResult {
+        match &self.state {
+            SlotState::PerHyp(s) => (s.unit_scores(), s.group_score()),
+            SlotState::Merged(s) => (s.unit_scores(h), s.group_score(h)),
+        }
+    }
+
+    /// Folds the same slot's state from a later segment stream into this
+    /// one.
+    fn merge_from(&mut self, other: &StreamSlot) -> Result<(), DniError> {
+        if let (SlotState::PerHyp(base), SlotState::PerHyp(seg)) = (&mut self.state, &other.state) {
+            if base.merge_from(seg.as_ref()) {
+                self.errs[0] = base.convergence_error();
+                return Ok(());
+            }
+        }
+        Err(DniError::Internal(
+            "measure state refused a cross-segment merge it advertised".into(),
+        ))
     }
 }
 
-/// A member's handle on its (group, measure) slots, in the member's
-/// canonical emission order.
-enum MemberSlots {
-    /// One shared slot per member hypothesis, in member hypothesis order.
-    PerHyp(Vec<usize>),
-    Merged(usize),
-}
-
+/// A member's `(group, measure)` entry: its slots in the member's
+/// canonical emission order — one per hypothesis, or one merged slot.
 struct MemberEntry {
-    slots: MemberSlots,
+    slots: Vec<usize>,
     group_id: String,
 }
 
-struct MemberRun {
-    entries: Vec<MemberEntry>,
-    live: bool,
+/// When a streaming pass stops reading. Derived in one place
+/// ([`inspect_pass`]) from the pass's inputs, never configured.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StopPolicy {
+    /// A plain pass over a one-segment dataset: a pair stops being fed
+    /// once its error is within ε, and the stream stops reading the
+    /// moment every pair converged (§5.2.3). Merged states (§5.2.1) are
+    /// allowed.
+    Converge,
+    /// Multi-segment datasets and view builds/refreshes: every block of
+    /// every segment stream is processed and per-hypothesis states are
+    /// folded in segment order, so scores and extractor call counts are
+    /// independent of device and schedule, and `stored(0..k) ⊕
+    /// fresh(k..n)` reproduces the cold fold bit-exactly. ε only
+    /// classifies pending pairs.
+    FullPass,
+}
+
+/// Shuffle seed for one dataset segment. Segment 0 keeps the configured
+/// seed unchanged (a one-segment dataset shuffles exactly like a plain
+/// pass over the same records); later segments derive theirs by hashing
+/// `(seed, segment index)` so per-segment streams decorrelate while
+/// staying deterministic across devices and processes.
+pub(crate) fn segment_seed(seed: u64, segment: usize) -> u64 {
+    if segment == 0 {
+        return seed;
+    }
+    let mut h = deepbase_store::FpHasher::new();
+    h.write_str("segment-seed")
+        .write_u64(seed)
+        .write_u64(segment as u64);
+    h.finish()
+}
+
+/// One serialized per-hypothesis measure state, identified by its slot
+/// triple — the durable fold point a materialized view stores and an
+/// incremental refresh revives.
+pub(crate) struct ViewStateCapture {
+    pub group_id: String,
+    pub measure_id: String,
+    pub hyp_id: String,
+    pub bytes: Vec<u8>,
+}
+
+/// The fold argument of a view pass. A build (`skip == 0`) folds every
+/// segment from scratch; a refresh revives `base` — the stored states
+/// over segments `0..skip` — and streams only segments `skip..`.
+pub(crate) struct ViewFold<'a> {
+    pub skip: usize,
+    pub base: &'a [ViewStateCapture],
+}
+
+/// Everything one stream produces: its slot states, per-member and
+/// stream accounting, and how the stream ended.
+struct StreamOutput {
+    slots: Vec<StreamSlot>,
+    /// Per member: the profile accrued while it had unconverged pairs,
+    /// and whether it still has any.
+    members: Vec<(Profile, bool)>,
     profile: Profile,
+    stats: StoreStats,
+    interrupted: Option<CompletionStatus>,
 }
 
 fn inspect_streaming(
@@ -1277,8 +1366,7 @@ fn inspect_streaming(
     config: &InspectionConfig,
     budget: Option<&ArmedBudget>,
 ) -> Result<(ResultFrame, Profile), DniError> {
-    let mut outcome =
-        inspect_shared_store_armed(std::slice::from_ref(req), config, PassSource::None, budget)?;
+    let (mut outcome, _) = inspect_pass(std::slice::from_ref(req), config, &[], budget, None)?;
     Ok(outcome.results.pop().expect("one member, one result"))
 }
 
@@ -1293,58 +1381,29 @@ pub fn inspect_shared(
     reqs: &[InspectionRequest<'_>],
     config: &InspectionConfig,
 ) -> Result<SharedOutcome, DniError> {
-    inspect_shared_store(reqs, config, None)
-}
-
-/// [`inspect_shared`] with an optional persistent-store source: union
-/// unit columns available in the store are scanned instead of extracted
-/// (zero extractor forward passes when every column hits), missing
-/// columns are extracted live and — under a read-write policy — written
-/// back at the end of a fully streamed pass. Store sources only apply to
-/// the streaming `DeepBase` engine; the materializing fallbacks ignore
-/// them.
-pub fn inspect_shared_store(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-    source: Option<&StoreSource>,
-) -> Result<SharedOutcome, DniError> {
     let armed = config.budget.arm();
-    let source = match source {
-        Some(s) => PassSource::Whole(s),
-        None => PassSource::None,
-    };
-    inspect_shared_store_armed(reqs, config, source, armed.as_ref())
+    inspect_pass(reqs, config, &[], armed.as_ref(), None).map(|(outcome, _)| outcome)
 }
 
-/// The store binding for one shared pass, in the shapes the two
-/// executors need: one whole-dataset source for the unsegmented pass, or
-/// one optional source **per segment** (keyed by the segment's
-/// fingerprint) for the segmented pass. `Whole` on a multi-segment
-/// dataset is ignored — the planner never produces that combination, and
-/// scanning whole-dataset columns against per-segment streams would read
-/// the wrong rows.
-#[derive(Clone, Copy)]
-pub(crate) enum PassSource<'s> {
-    /// No store bound: every block extracts live.
-    None,
-    /// One source covering the whole (single-segment) dataset.
-    Whole(&'s StoreSource),
-    /// One optional source per dataset segment, in segment-index order.
-    PerSegment(&'s [Option<StoreSource>]),
-}
-
-/// [`inspect_shared_store`] against an already armed budget: the batch
-/// scheduler arms the configured [`RunBudget`] once and shares the
-/// absolute deadline across every group and admission wave it executes.
-pub(crate) fn inspect_shared_store_armed(
+/// The streaming executor every DeepBase pass runs through (see the
+/// module docs, *One streaming pass*).
+///
+/// `sources` holds one store source per dataset segment, in segment
+/// order, or is empty when no store is bound. `budget` is armed once per
+/// batch, so every group and admission wave shares one deadline. `view`
+/// makes this a view build or refresh: the final per-hypothesis states
+/// are serialized into the returned captures (empty otherwise), and an
+/// interrupted view pass is a typed error instead of a partial answer.
+pub(crate) fn inspect_pass(
     reqs: &[InspectionRequest<'_>],
     config: &InspectionConfig,
-    source: PassSource<'_>,
+    sources: &[StoreSource],
     budget: Option<&ArmedBudget>,
-) -> Result<SharedOutcome, DniError> {
+    view: Option<&ViewFold<'_>>,
+) -> Result<(SharedOutcome, Vec<ViewStateCapture>), DniError> {
     validate_config(config)?;
     if reqs.is_empty() {
-        return Ok(SharedOutcome::default());
+        return Ok(Default::default());
     }
     let extractor = reqs[0].extractor;
     let dataset = reqs[0].dataset;
@@ -1361,15 +1420,16 @@ pub(crate) fn inspect_shared_store_armed(
         }
     }
     if dataset.is_empty() {
-        return Ok(SharedOutcome {
-            results: reqs
-                .iter()
-                .map(|_| (ResultFrame::default(), Profile::default()))
-                .collect(),
-            ..SharedOutcome::default()
-        });
+        let results = reqs.iter().map(|_| Default::default()).collect();
+        return Ok((
+            SharedOutcome {
+                results,
+                ..SharedOutcome::default()
+            },
+            Vec::new(),
+        ));
     }
-    if config.engine != EngineKind::DeepBase {
+    if view.is_none() && config.engine != EngineKind::DeepBase {
         // The materializing engines keep their per-request shape; members
         // still share the hypothesis cache configured by the caller.
         let mut outcome = SharedOutcome {
@@ -1382,43 +1442,52 @@ pub(crate) fn inspect_shared_store_armed(
             outcome.results.push((frame, profile));
         }
         outcome.completion.rows_read = outcome.pass.records_read;
-        return Ok(outcome);
+        return Ok((outcome, Vec::new()));
     }
 
-    // Multi-segment datasets run the segmented executor: one shuffled
-    // stream per segment, per-segment store sources, states merged in
-    // segment order. Single-segment datasets (every pre-segmentation
-    // caller) stay on the unsegmented pass below, bit-identically.
-    if dataset.segment_count() > 1 {
-        let seg_sources = match source {
-            PassSource::PerSegment(s) => Some(s),
-            _ => None,
-        };
-        return inspect_segmented(reqs, config, seg_sources, budget);
+    let segments = dataset.segments();
+    let stop = if segments.len() == 1 && view.is_none() {
+        StopPolicy::Converge
+    } else {
+        StopPolicy::FullPass
+    };
+    let early_stop = stop == StopPolicy::Converge;
+    if !early_stop {
+        // Up-front typed guard: never a silently wrong cross-segment score.
+        for measure in reqs.iter().flat_map(|r| &r.measures) {
+            if !measure.supports_segment_merge() {
+                return Err(DniError::Query(format!(
+                    "measure {} cannot run on segmented datasets",
+                    measure.id()
+                )));
+            }
+        }
+    }
+    let skip = view.map_or(0, |v| v.skip);
+    if skip > 0 && skip >= segments.len() {
+        return Err(DniError::BadConfig(format!(
+            "cannot skip {skip} of {} segments",
+            segments.len()
+        )));
+    }
+    if !sources.is_empty() && sources.len() != segments.len() {
+        return Err(DniError::BadConfig(format!(
+            "{} store sources for {} segments",
+            sources.len(),
+            segments.len()
+        )));
     }
 
     let t_start = Instant::now();
     let ns = dataset.ns;
-    let nd = dataset.len();
-    // Shuffled record order, with each record's dataset position kept
-    // alongside — stored columns are addressed by position.
-    let order = shuffled_indices(nd, config.seed);
-    let records: Vec<&Record> = order.iter().map(|&i| &dataset.records[i]).collect();
 
-    // Union of all unit columns any member needs, extracted once per block.
+    // Union of all unit columns any member needs, sourced once per block.
     let mut union_units: Vec<usize> = reqs
         .iter()
         .flat_map(|r| r.groups.iter().flat_map(|g| g.units.iter().copied()))
         .collect();
     union_units.sort_unstable();
     union_units.dedup();
-
-    // The pass's store state: which union columns can be scanned vs must
-    // be extracted, plus write-back capture for the misses.
-    let mut store_pass = match source {
-        PassSource::Whole(s) => Some(StorePass::new(s, &union_units, nd, ns)),
-        _ => None,
-    };
 
     // Union of member hypotheses, deduplicated by *function identity*
     // (data pointer), not by id string: two different functions may be
@@ -1439,7 +1508,8 @@ pub(crate) fn inspect_shared_store_armed(
     }
 
     // Unique unit selections (one column demux each, with the identity
-    // check precomputed) and shared slots.
+    // check precomputed), deduplicated slots with the first stream's
+    // states, and each member's entries.
     struct Selection {
         units: Vec<usize>,
         demux: ColumnDemux,
@@ -1447,18 +1517,18 @@ pub(crate) fn inspect_shared_store_armed(
     }
     let mut selections: Vec<Selection> = Vec::new();
     let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut slots: Vec<SharedSlot> = Vec::new();
+    let mut slots: Vec<SharedSlot<'_>> = Vec::new();
+    let mut initial: Vec<StreamSlot> = Vec::new();
     let mut slot_of: HashMap<SlotKey, usize> = HashMap::new();
-    // How many unconverged slots still consume each union hypothesis
-    // column; columns with no consumers are not evaluated.
-    let mut hyp_consumers: Vec<usize> = vec![0; union_hyps.len()];
-
+    // How many unconverged slots consume each union hypothesis column;
+    // columns with no consumers are not evaluated.
+    let mut consumers: Vec<usize> = vec![0; union_hyps.len()];
     // Whether a measure supports merged states, memoized per
     // `(measure id, n_units, n_hyps)` — the exact probe inputs, since the
     // trait lets the answer depend on the shape — so repeated probes never
     // allocate a throwaway merged state (e.g. logreg weight matrices).
     let mut supports_merged: HashMap<(String, usize, usize), bool> = HashMap::new();
-    let mut members: Vec<MemberRun> = Vec::with_capacity(reqs.len());
+    let mut members: Vec<Vec<MemberEntry>> = Vec::with_capacity(reqs.len());
     for req in reqs {
         let mut entries = Vec::new();
         for group in &req.groups {
@@ -1475,323 +1545,383 @@ pub(crate) fn inspect_shared_store_armed(
                     selections.len() - 1
                 }
             };
+            let n_units = group.units.len();
             for measure in &req.measures {
-                let eps = epsilon_for(*measure, config);
-                let probe_key = (
-                    measure.id().to_string(),
-                    group.units.len(),
-                    req.hypotheses.len(),
-                );
-                let mut merged_ref: Option<MemberSlots> = None;
-                if supports_merged.get(&probe_key).copied() != Some(false) {
-                    let hyps: Vec<usize> = req
-                        .hypotheses
-                        .iter()
-                        .map(|h| hyp_col_of[&hyp_ptr(*h)])
-                        .collect();
-                    let key = SlotKey::Merged(group.units.clone(), measure.id().to_string(), hyps);
-                    if let Some(&idx) = slot_of.get(&key) {
-                        merged_ref = Some(MemberSlots::Merged(idx));
-                    } else if let Some(state) =
-                        measure.new_merged_state(group.units.len(), req.hypotheses.len())
-                    {
-                        supports_merged.insert(probe_key, true);
-                        let SlotKey::Merged(_, _, ref hyps) = key else {
-                            unreachable!("key built as Merged above")
-                        };
-                        let hyps = hyps.clone();
-                        for &c in &hyps {
-                            hyp_consumers[c] += 1;
-                        }
-                        slots.push(SharedSlot {
-                            sel,
-                            eps,
-                            measure_id: measure.id().to_string(),
-                            model_id: req.model_id.clone(),
-                            group_id: group.id.clone(),
-                            state: SlotState::Merged {
-                                state,
-                                results: vec![None; req.hypotheses.len()],
-                                last_errs: vec![f32::INFINITY; req.hypotheses.len()],
-                                hyps,
-                                done: false,
-                            },
-                        });
-                        slot_of.insert(key, slots.len() - 1);
-                        merged_ref = Some(MemberSlots::Merged(slots.len() - 1));
-                    } else {
-                        supports_merged.insert(probe_key, false);
+                let cols: Vec<usize> = req
+                    .hypotheses
+                    .iter()
+                    .map(|h| hyp_col_of[&hyp_ptr(*h)])
+                    .collect();
+                let mut new_slot = |hyps: Vec<usize>, state: SlotState| {
+                    for &c in &hyps {
+                        consumers[c] += 1;
                     }
-                }
-                let slots_ref = match merged_ref {
-                    Some(slots_ref) => slots_ref,
-                    None => {
-                        let pair_slots: Vec<usize> = req
-                            .hypotheses
-                            .iter()
-                            .map(|hyp| {
-                                let col = hyp_col_of[&hyp_ptr(*hyp)];
-                                let key = SlotKey::PerHyp(
-                                    group.units.clone(),
-                                    measure.id().to_string(),
-                                    col,
-                                );
-                                *slot_of.entry(key).or_insert_with(|| {
-                                    hyp_consumers[col] += 1;
-                                    slots.push(SharedSlot {
-                                        sel,
-                                        eps,
-                                        measure_id: measure.id().to_string(),
-                                        model_id: req.model_id.clone(),
-                                        group_id: group.id.clone(),
-                                        state: SlotState::PerHyp {
-                                            state: Some(measure.new_state(group.units.len())),
-                                            hyp: col,
-                                            result: None,
-                                            last_err: f32::INFINITY,
-                                        },
-                                    });
-                                    slots.len() - 1
-                                })
+                    initial.push(StreamSlot::new(state, hyps.len()));
+                    slots.push(SharedSlot {
+                        sel,
+                        eps: epsilon_for(*measure, config),
+                        measure: *measure,
+                        model_id: req.model_id.clone(),
+                        group_id: group.id.clone(),
+                        hyps,
+                    });
+                    slots.len() - 1
+                };
+                // Model merging only on a converging stream: a full pass
+                // folds states across segments, which composites cannot.
+                let probe_key = (measure.id().to_string(), n_units, cols.len());
+                let mut merged_slot = None;
+                if early_stop && supports_merged.get(&probe_key) != Some(&false) {
+                    let key = SlotKey::Merged(
+                        group.units.clone(),
+                        measure.id().to_string(),
+                        cols.clone(),
+                    );
+                    merged_slot = match slot_of.get(&key) {
+                        Some(&idx) => Some(idx),
+                        None => {
+                            let state = measure.new_merged_state(n_units, cols.len());
+                            supports_merged.insert(probe_key, state.is_some());
+                            state.map(|state| {
+                                let idx = new_slot(cols.clone(), SlotState::Merged(state));
+                                slot_of.insert(key, idx);
+                                idx
                             })
-                            .collect();
-                        MemberSlots::PerHyp(pair_slots)
-                    }
+                        }
+                    };
+                }
+                let entry_slots = match merged_slot {
+                    Some(idx) => vec![idx],
+                    None => cols
+                        .iter()
+                        .map(|&c| {
+                            let key =
+                                SlotKey::PerHyp(group.units.clone(), measure.id().to_string(), c);
+                            *slot_of.entry(key).or_insert_with(|| {
+                                new_slot(vec![c], SlotState::PerHyp(measure.new_state(n_units)))
+                            })
+                        })
+                        .collect(),
                 };
                 entries.push(MemberEntry {
-                    slots: slots_ref,
+                    slots: entry_slots,
                     group_id: group.id.clone(),
                 });
             }
         }
-        members.push(MemberRun {
-            entries,
-            live: false,
-            profile: Profile::default(),
-        });
+        members.push(entries);
     }
-    let member_live = |member: &MemberRun, slots: &[SharedSlot]| {
-        member.entries.iter().any(|e| match &e.slots {
-            MemberSlots::PerHyp(v) => v.iter().any(|&s| !slots[s].converged()),
-            MemberSlots::Merged(s) => !slots[*s].converged(),
+    let member_live = |entries: &[MemberEntry], states: &[StreamSlot]| {
+        entries
+            .iter()
+            .any(|e| e.slots.iter().any(|&s| !states[s].converged))
+    };
+
+    // The fan-out grain is the stream. A converging pass has a single
+    // stream, which chunks each block's extraction across the pool on the
+    // parallel device. A full pass fans its segment streams across the
+    // pool instead and extracts each block in one extractor call, so its
+    // forward-pass count is one per block whatever the device and
+    // schedule. Extraction output is device-independent either way.
+    let device = if early_stop {
+        config.device
+    } else {
+        Device::SingleCore
+    };
+
+    // One stream: one shuffled segment, block by block, until its records
+    // run out — or, on a converging stream, until every pair converged.
+    let run_stream = |seg: &SegmentInfo, mut states: Vec<StreamSlot>| {
+        // Shuffled record order, with each record's segment position kept
+        // alongside — stored columns are addressed by position.
+        let order = shuffled_indices(seg.len, segment_seed(config.seed, seg.index));
+        let records: Vec<&Record> = order
+            .iter()
+            .map(|&i| &dataset.records[seg.start + i])
+            .collect();
+        // Which union columns the store serves vs extraction, plus
+        // write-back capture for the rest.
+        let mut store_pass = sources
+            .get(seg.index)
+            .map(|src| StorePass::new(src, &union_units, seg.len, ns));
+        let mut consumers = consumers.clone();
+        let mut member_runs: Vec<(Profile, bool)> = members
+            .iter()
+            .map(|entries| (Profile::default(), member_live(entries, &states)))
+            .collect();
+        let mut profile = Profile::default();
+        let mut interrupted = None;
+        let mut block_start = 0usize;
+        while block_start < records.len() {
+            let live_at_start: Vec<bool> = member_runs.iter().map(|m| m.1).collect();
+            if early_stop && !live_at_start.contains(&true) {
+                break; // §5.2.3: stop reading the moment everything converged.
+            }
+            // Budget poll, amortized to one check per block against this
+            // stream's own counts (so caps mean the same whether segment
+            // streams run sequentially or fanned out; deadline and
+            // cancellation are global). An interrupted stream exits
+            // exactly like an early-stopped one: write-back commits the
+            // streamed prefix as watermark-extending partial columns and
+            // the frames carry the current estimates.
+            if let Some(b) = budget {
+                if let Some(status) = b.check(profile.records_read, profile.blocks_processed) {
+                    interrupted = Some(status);
+                    break;
+                }
+            }
+            let block_end = (block_start + config.block_records).min(records.len());
+            let block = &records[block_start..block_end];
+            profile.records_read += block.len();
+            profile.blocks_processed += 1;
+            for ((p, _), &live) in member_runs.iter_mut().zip(&live_at_start) {
+                if live {
+                    p.records_read += block.len();
+                    p.blocks_processed += 1;
+                }
+            }
+
+            // Source the union unit behaviors once — scanned from the store
+            // and/or extracted live — then demux the unit selections still
+            // backing an unconverged slot. A selection that covers the whole
+            // union in order (the common single-query, one-group case)
+            // borrows the union matrix instead of copying it.
+            let t0 = Instant::now();
+            let union_behaviors = match &mut store_pass {
+                Some(pass) => pass.fetch_block(
+                    extractor,
+                    block,
+                    &order[block_start..block_end],
+                    &union_units,
+                    device,
+                    ns,
+                    seg.len,
+                ),
+                None => extract_records(extractor, block, &union_units, device, ns),
+            };
+            let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; selections.len()];
+            for (slot, st) in slots.iter().zip(&states) {
+                if !st.converged
+                    && sel_behaviors[slot.sel].is_none()
+                    && !selections[slot.sel].identity
+                {
+                    sel_behaviors[slot.sel] =
+                        Some(selections[slot.sel].demux.apply(&union_behaviors));
+                }
+            }
+            let d0 = t0.elapsed();
+
+            // Evaluate the union hypothesis columns that still have consumers.
+            let t1 = Instant::now();
+            let mut hyp_cols: Vec<Option<Vec<f32>>> = vec![None; union_hyps.len()];
+            for (c, hyp) in union_hyps.iter().enumerate() {
+                if consumers[c] > 0 {
+                    hyp_cols[c] = Some(hypothesis_column(
+                        *hyp,
+                        block,
+                        ns,
+                        &dataset.id,
+                        config.cache.as_ref(),
+                    )?);
+                }
+            }
+            let d1 = t1.elapsed();
+
+            // Advance every unconverged slot exactly once, no matter how
+            // many members reference it.
+            let t2 = Instant::now();
+            for (slot, st) in slots.iter().zip(states.iter_mut()) {
+                if st.converged {
+                    continue;
+                }
+                // `None` means the identity selection: use the union
+                // matrix directly.
+                let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
+                let col = |c: usize| hyp_cols[c].as_deref().expect("consumed column");
+                match &mut st.state {
+                    SlotState::PerHyp(state) => {
+                        st.errs[0] = state.process_block(behaviors, col(slot.hyps[0]));
+                    }
+                    SlotState::Merged(state) => {
+                        let mut hyps_matrix = Matrix::zeros(behaviors.rows(), slot.hyps.len());
+                        for (h, &c) in slot.hyps.iter().enumerate() {
+                            for (r, &v) in col(c).iter().enumerate() {
+                                hyps_matrix.set(r, h, v);
+                            }
+                        }
+                        st.errs = state.process_block(behaviors, &hyps_matrix);
+                    }
+                }
+                if early_stop && st.errs.iter().all(|&e| e <= slot.eps) {
+                    st.converged = true;
+                    for &c in &slot.hyps {
+                        consumers[c] -= 1;
+                    }
+                }
+            }
+            let d2 = t2.elapsed();
+
+            profile.unit_extraction += d0;
+            profile.hypothesis_extraction += d1;
+            profile.inspection += d2;
+            for (((p, live), &was_live), entries) in
+                member_runs.iter_mut().zip(&live_at_start).zip(&members)
+            {
+                if was_live {
+                    p.unit_extraction += d0;
+                    p.hypothesis_extraction += d1;
+                    p.inspection += d2;
+                    *live = member_live(entries, &states);
+                    if !*live {
+                        // The member's pairs all converged this block: its
+                        // total stops accruing here, so the per-query
+                        // profile stays consistent with its phase timings
+                        // even while the pass keeps streaming for others.
+                        p.total = t_start.elapsed();
+                    }
+                }
+            }
+            block_start = block_end;
+        }
+
+        // Persist the captured columns — complete after a fully streamed
+        // segment, watermark-extending partials after an early stop or a
+        // budget interruption (indistinguishable here by design: an
+        // interrupted pass resumes at its watermark like any other
+        // early-stopped one) — and detach the stream's store accounting.
+        let mut stats = match &mut store_pass {
+            Some(pass) => {
+                pass.flush_writeback(seg.len, ns);
+                std::mem::take(&mut pass.stats)
+            }
+            None => StoreStats::default(),
+        };
+        if !early_stop && profile.blocks_processed > 0 {
+            stats.segment_passes = 1;
+        }
+        Ok(StreamOutput {
+            slots: states,
+            members: member_runs,
+            profile,
+            stats,
+            interrupted,
         })
     };
-    for member in members.iter_mut() {
-        member.live = member_live(member, &slots);
+
+    // Stream every segment not covered by a revived view base: in order
+    // on the single-core device (and for a single stream), fanned across
+    // the runtime pool otherwise. The outputs land in segment order.
+    let streamed = &segments[skip..];
+    let mut first = Some(initial);
+    let jobs: Vec<(&SegmentInfo, Vec<StreamSlot>)> = streamed
+        .iter()
+        .map(|seg| {
+            let states = first.take().unwrap_or_else(|| {
+                slots
+                    .iter()
+                    .map(|s| {
+                        let n_units = selections[s.sel].units.len();
+                        StreamSlot::new(SlotState::PerHyp(s.measure.new_state(n_units)), 1)
+                    })
+                    .collect()
+            });
+            (seg, states)
+        })
+        .collect();
+    let mut outputs: Vec<Option<Result<StreamOutput, DniError>>> =
+        (0..jobs.len()).map(|_| None).collect();
+    if config.device.threads() <= 1 || jobs.len() < 2 {
+        for ((seg, states), out) in jobs.into_iter().zip(outputs.iter_mut()) {
+            *out = Some(run_stream(seg, states));
+        }
+    } else {
+        let run_stream = &run_stream;
+        deepbase_runtime::global().scope(|scope| {
+            for ((seg, states), out) in jobs.into_iter().zip(outputs.iter_mut()) {
+                scope.spawn(move || *out = Some(run_stream(seg, states)));
+            }
+        });
     }
 
-    // The shared streaming pass: one block of the union stream at a time,
-    // until every member's pairs converged or the records run out.
+    // Fold the stream outputs in segment order: first error wins, states
+    // merge pairwise, accounting accumulates. A refresh starts the fold
+    // from the revived base states — exactly the state the cold fold had
+    // after the skipped prefix.
+    let mut folded: Option<Vec<StreamSlot>> = None;
+    if let Some(fold) = view.filter(|_| skip > 0) {
+        let revived = slots.iter().map(|slot| {
+            let hyp_id = union_hyps[slot.hyps[0]].id();
+            let triple = format!("({}, {}, {hyp_id})", slot.group_id, slot.measure.id());
+            let stored = fold
+                .base
+                .iter()
+                .find(|s| {
+                    s.group_id == slot.group_id
+                        && s.measure_id == slot.measure.id()
+                        && s.hyp_id == hyp_id
+                })
+                .ok_or_else(|| {
+                    DniError::BadConfig(format!("stored view state missing slot {triple}"))
+                })?;
+            let state = slot
+                .measure
+                .deserialize_state(selections[slot.sel].units.len(), &stored.bytes)
+                .ok_or_else(|| {
+                    DniError::BadConfig(format!("stored view state for {triple} does not revive"))
+                })?;
+            Ok(StreamSlot {
+                errs: vec![state.convergence_error()],
+                state: SlotState::PerHyp(state),
+                converged: false,
+            })
+        });
+        folded = Some(revived.collect::<Result<_, DniError>>()?);
+    }
     let mut pass = Profile::default();
-    let nb = config.block_records;
-    let mut block_start = 0usize;
+    let mut store_stats = StoreStats::default();
     let mut interrupted: Option<CompletionStatus> = None;
-    while block_start < records.len() {
-        let live_at_start: Vec<bool> = members.iter().map(|m| m.live).collect();
-        if !live_at_start.iter().any(|&l| l) {
-            break; // §5.2.3: stop reading the moment everything converged.
+    let mut member_profiles: Vec<(Profile, bool)> = vec![(Profile::default(), false); reqs.len()];
+    for output in outputs {
+        let output = output.expect("every stream slot filled")?;
+        pass.accumulate(&output.profile);
+        store_stats.accumulate(&output.stats);
+        interrupted = interrupted.or(output.interrupted);
+        for ((p, live), (stream_p, stream_live)) in member_profiles.iter_mut().zip(&output.members)
+        {
+            p.accumulate(stream_p);
+            *live |= stream_live;
         }
-        // Budget poll, amortized to one check per block: an unlimited run
-        // never reaches here with a budget, and an interrupted run exits
-        // through exactly the early-stop path below — write-back commits
-        // the streamed prefix as watermark-extending partial columns and
-        // the frames carry the current estimates.
-        if let Some(b) = budget {
-            if let Some(status) = b.check(pass.records_read, pass.blocks_processed) {
-                interrupted = Some(status);
-                break;
-            }
-        }
-        let block_end = (block_start + nb).min(records.len());
-        let block = &records[block_start..block_end];
-        pass.records_read += block.len();
-        pass.blocks_processed += 1;
-        for (member, &live) in members.iter_mut().zip(&live_at_start) {
-            if live {
-                member.profile.records_read += block.len();
-                member.profile.blocks_processed += 1;
-            }
-        }
-
-        // Source the union unit behaviors once — scanned from the store
-        // and/or extracted live — then demux the unit selections still
-        // backing an unconverged slot. A selection that covers the whole
-        // union in order (the common single-query, one-group case)
-        // borrows the union matrix instead of copying it.
-        let t0 = Instant::now();
-        let block_positions = &order[block_start..block_end];
-        let union_behaviors = match &mut store_pass {
-            Some(pass) => pass.fetch_block(
-                extractor,
-                block,
-                block_positions,
-                &union_units,
-                config.device,
-                ns,
-                nd,
-            ),
-            None => extract_records(extractor, block, &union_units, config.device, ns),
-        };
-        let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; selections.len()];
-        for slot in &slots {
-            if !slot.converged()
-                && sel_behaviors[slot.sel].is_none()
-                && !selections[slot.sel].identity
-            {
-                sel_behaviors[slot.sel] = Some(selections[slot.sel].demux.apply(&union_behaviors));
-            }
-        }
-        let d0 = t0.elapsed();
-
-        // Evaluate the union hypothesis columns that still have consumers.
-        let t1 = Instant::now();
-        let mut hyp_cols: Vec<Option<Vec<f32>>> = vec![None; union_hyps.len()];
-        for (c, hyp) in union_hyps.iter().enumerate() {
-            if hyp_consumers[c] > 0 {
-                hyp_cols[c] = Some(hypothesis_column(
-                    *hyp,
-                    block,
-                    ns,
-                    &dataset.id,
-                    config.cache.as_ref(),
-                )?);
-            }
-        }
-        let d1 = t1.elapsed();
-
-        // Advance every live slot exactly once, no matter how many
-        // members reference it.
-        let t2 = Instant::now();
-        for slot in slots.iter_mut() {
-            match &mut slot.state {
-                SlotState::PerHyp {
-                    state: maybe_state,
-                    hyp,
-                    result,
-                    last_err,
-                } => {
-                    if let Some(state) = maybe_state {
-                        // `None` means the identity selection: use the
-                        // union matrix directly.
-                        let behaviors =
-                            sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
-                        let col = hyp_cols[*hyp].as_ref().expect("consumed column");
-                        let err = state.process_block(behaviors, col);
-                        *last_err = err;
-                        if err <= slot.eps {
-                            *result = Some((state.unit_scores(), state.group_score()));
-                            *maybe_state = None; // converged: stop feeding
-                            hyp_consumers[*hyp] -= 1;
-                        }
-                    }
+        folded = Some(match folded {
+            None => output.slots,
+            Some(mut base) => {
+                for (b, s) in base.iter_mut().zip(&output.slots) {
+                    b.merge_from(s)?;
                 }
-                SlotState::Merged {
-                    state,
-                    hyps,
-                    done,
-                    results,
-                    last_errs,
-                } => {
-                    if *done {
-                        continue;
-                    }
-                    let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
-                    let mut hyps_matrix = Matrix::zeros(behaviors.rows(), hyps.len());
-                    for (h, &c) in hyps.iter().enumerate() {
-                        let col = hyp_cols[c].as_ref().expect("consumed column");
-                        for (r, &v) in col.iter().enumerate() {
-                            hyps_matrix.set(r, h, v);
-                        }
-                    }
-                    let errs = state.process_block(behaviors, &hyps_matrix);
-                    last_errs.copy_from_slice(&errs);
-                    if errs.iter().all(|&e| e <= slot.eps) {
-                        *done = true;
-                        for (h, r) in results.iter_mut().enumerate() {
-                            *r = Some((state.unit_scores(h), state.group_score(h)));
-                        }
-                        for &c in hyps.iter() {
-                            hyp_consumers[c] -= 1;
-                        }
-                    }
-                }
+                base
             }
-        }
-        let d2 = t2.elapsed();
-
-        pass.unit_extraction += d0;
-        pass.hypothesis_extraction += d1;
-        pass.inspection += d2;
-        for (member, &live) in members.iter_mut().zip(&live_at_start) {
-            if live {
-                member.profile.unit_extraction += d0;
-                member.profile.hypothesis_extraction += d1;
-                member.profile.inspection += d2;
-            }
-        }
-        for member in members.iter_mut() {
-            if member.live {
-                member.live = member_live(member, &slots);
-                if !member.live {
-                    // The member's pairs all converged this block: its
-                    // total stops accruing here, so the per-query profile
-                    // stays consistent with its phase timings even while
-                    // the shared pass keeps streaming for other members.
-                    member.profile.total = t_start.elapsed();
-                }
-            }
-        }
-        block_start = block_end;
+        });
     }
-
-    // Persist the captured columns — complete after a fully streamed
-    // pass, watermark-extending partials after an early stop or a budget
-    // interruption (the two are indistinguishable here by design: a
-    // deadline-interrupted pass resumes at its watermark like any other
-    // early-stopped one) — and detach the pass's store accounting.
-    let store_stats = match &mut store_pass {
-        Some(pass) => {
-            pass.flush_writeback(nd, ns);
-            std::mem::take(&mut pass.stats)
-        }
-        None => StoreStats::default(),
-    };
+    let states = folded.expect("at least one segment streams");
 
     // How the pass ended: the interruption status (if any) plus every
-    // pair whose convergence error was still above its epsilon — also
-    // populated for a naturally exhausted stream, where the scores are
-    // the full-data scores but the epsilon target was never met.
+    // unconverged pair whose error is still above its ε — also populated
+    // for a naturally exhausted stream, where the scores are the
+    // full-data scores but the ε target was never met.
     let mut pending: Vec<PendingPair> = Vec::new();
-    for slot in &slots {
-        let mut push_pending = |hyp_col: usize, error: f32| {
-            pending.push(PendingPair {
-                group_id: slot.group_id.clone(),
-                measure_id: slot.measure_id.clone(),
-                hyp_id: union_hyps[hyp_col].id().to_string(),
-                error,
-                epsilon: slot.eps,
-            });
-        };
-        match &slot.state {
-            SlotState::PerHyp {
-                state: Some(_),
-                hyp,
-                last_err,
-                ..
-            } => push_pending(*hyp, *last_err),
-            SlotState::Merged {
-                done: false,
-                hyps,
-                last_errs,
-                ..
-            } => {
-                for (h, &c) in hyps.iter().enumerate() {
-                    if last_errs[h] > slot.eps {
-                        push_pending(c, last_errs[h]);
-                    }
-                }
+    for (slot, st) in slots.iter().zip(&states) {
+        if st.converged {
+            continue;
+        }
+        for (&c, &error) in slot.hyps.iter().zip(&st.errs) {
+            if error > slot.eps {
+                pending.push(PendingPair {
+                    group_id: slot.group_id.clone(),
+                    measure_id: slot.measure.id().to_string(),
+                    hyp_id: union_hyps[c].id().to_string(),
+                    error,
+                    epsilon: slot.eps,
+                });
             }
-            _ => {}
         }
     }
     let completion = Completion {
@@ -1800,52 +1930,27 @@ pub(crate) fn inspect_shared_store_armed(
         pending,
     };
 
-    // Emit every unique pair once into the merged frame (converged pairs
-    // use their recorded finals, the rest their current estimates) and
-    // remember each pair's row span for the per-member demux.
+    // Emit every unique pair once into the merged frame and remember each
+    // pair's row span for the per-member demux.
     let mut merged = ResultFrame::default();
     let mut spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(slots.len());
-    for slot in &slots {
+    for (slot, st) in slots.iter().zip(&states) {
         let units = &selections[slot.sel].units;
-        let mut slot_spans = Vec::new();
-        let mut emit = |hyp_id: &str, result: (Vec<f32>, f32), merged: &mut ResultFrame| {
-            let start = merged.rows.len();
-            debug_assert_eq!(result.0.len(), units.len());
-            for (&unit, &score) in units.iter().zip(result.0.iter()) {
+        let mut slot_spans = Vec::with_capacity(slot.hyps.len());
+        for (h, &c) in slot.hyps.iter().enumerate() {
+            let (unit_scores, group_score) = st.scores(h);
+            debug_assert_eq!(unit_scores.len(), units.len());
+            slot_spans.push((merged.rows.len(), units.len()));
+            for (&unit, &unit_score) in units.iter().zip(&unit_scores) {
                 merged.rows.push(ScoreRow {
                     model_id: slot.model_id.clone(),
                     group_id: slot.group_id.clone(),
-                    measure_id: slot.measure_id.clone(),
-                    hyp_id: hyp_id.to_string(),
+                    measure_id: slot.measure.id().to_string(),
+                    hyp_id: union_hyps[c].id().to_string(),
                     unit,
-                    unit_score: score,
-                    group_score: result.1,
+                    unit_score,
+                    group_score,
                 });
-            }
-            slot_spans.push((start, units.len()));
-        };
-        match &slot.state {
-            SlotState::PerHyp {
-                state, hyp, result, ..
-            } => {
-                let result = result.clone().unwrap_or_else(|| {
-                    let state = state.as_ref().expect("unconverged pair keeps its state");
-                    (state.unit_scores(), state.group_score())
-                });
-                emit(union_hyps[*hyp].id(), result, &mut merged);
-            }
-            SlotState::Merged {
-                state,
-                hyps,
-                results,
-                ..
-            } => {
-                for (h, &c) in hyps.iter().enumerate() {
-                    let result = results[h]
-                        .clone()
-                        .unwrap_or_else(|| (state.unit_scores(h), state.group_score(h)));
-                    emit(union_hyps[c].id(), result, &mut merged);
-                }
             }
         }
         spans.push(slot_spans);
@@ -1856,34 +1961,25 @@ pub(crate) fn inspect_shared_store_armed(
     let total = t_start.elapsed();
     pass.total = total;
     let mut results = Vec::with_capacity(members.len());
-    for (member, req) in members.iter_mut().zip(reqs) {
-        let mut member_spans: Vec<RowSpan> = Vec::new();
-        for entry in &member.entries {
-            let claim = |slot_idx: usize, span_idx: usize, member_spans: &mut Vec<RowSpan>| {
-                let (start, len) = spans[slot_idx][span_idx];
-                member_spans.push(RowSpan {
-                    start,
-                    len,
-                    model_id: req.model_id.clone(),
-                    group_id: entry.group_id.clone(),
-                });
-            };
-            match &entry.slots {
-                MemberSlots::PerHyp(pair_slots) => {
-                    for &s in pair_slots {
-                        claim(s, 0, &mut member_spans);
-                    }
-                }
-                MemberSlots::Merged(s) => {
-                    for h in 0..spans[*s].len() {
-                        claim(*s, h, &mut member_spans);
-                    }
-                }
-            }
-        }
-        if member.live {
+    for ((entries, req), (mut profile, live)) in members.iter().zip(reqs).zip(member_profiles) {
+        let member_spans: Vec<RowSpan> = entries
+            .iter()
+            .flat_map(|entry| {
+                entry
+                    .slots
+                    .iter()
+                    .flat_map(|&s| &spans[s])
+                    .map(|&(start, len)| RowSpan {
+                        start,
+                        len,
+                        model_id: req.model_id.clone(),
+                        group_id: entry.group_id.clone(),
+                    })
+            })
+            .collect();
+        if live {
             // Never converged: this member consumed the whole pass.
-            member.profile.total = total;
+            profile.total = total;
         }
         // A sole member whose spans tile the merged frame in order (no
         // dedup-induced repeats) would demux into an exact copy; move the
@@ -1903,557 +1999,23 @@ pub(crate) fn inspect_shared_store_armed(
         } else {
             merged.demux(&member_spans)
         };
-        results.push((frame, member.profile.clone()));
-    }
-    Ok(SharedOutcome {
-        results,
-        merged,
-        pass,
-        extraction_passes: 1,
-        store: store_stats,
-        completion,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Segmented execution
-// ---------------------------------------------------------------------
-
-/// Shuffle seed for one dataset segment. Segment 0 keeps the configured
-/// seed unchanged (a one-segment dataset shuffles exactly like the
-/// unsegmented pass); later segments derive theirs by hashing
-/// `(seed, segment index)` so per-segment streams decorrelate while
-/// staying deterministic across devices and processes.
-pub(crate) fn segment_seed(seed: u64, segment: usize) -> u64 {
-    if segment == 0 {
-        return seed;
-    }
-    let mut h = deepbase_store::FpHasher::new();
-    h.write_str("segment-seed")
-        .write_u64(seed)
-        .write_u64(segment as u64);
-    h.finish()
-}
-
-/// Everything one segment stream produces: the per-slot measure states
-/// over that segment's records, profile/store accounting, and how the
-/// stream ended.
-struct SegOutput {
-    states: Vec<Box<dyn MeasureState>>,
-    profile: Profile,
-    stats: StoreStats,
-    interrupted: Option<CompletionStatus>,
-}
-
-/// One serialized merged measure state, identified by its slot triple —
-/// the durable fold point a materialized view stores and an incremental
-/// refresh revives.
-pub(crate) struct ViewStateCapture {
-    pub group_id: String,
-    pub measure_id: String,
-    pub hyp_id: String,
-    pub bytes: Vec<u8>,
-}
-
-/// View-specific options for the segmented pass.
-#[derive(Default)]
-pub(crate) struct SegmentedRunOpts<'a> {
-    /// Stream only segments `skip_segments..`; the revived `base_states`
-    /// stand in for the skipped prefix. `0` streams everything.
-    pub skip_segments: usize,
-    /// Serialized merged states covering segments `0..skip_segments`,
-    /// matched to slots by `(group, measure, hypothesis)` triple.
-    pub base_states: Option<&'a [ViewStateCapture]>,
-    /// Serialize the final merged states into the returned capture list
-    /// (the view-build half of the fold-point contract).
-    pub capture_states: bool,
-}
-
-/// The segmented streaming pass: one shuffled stream **per segment**
-/// (seeded via [`segment_seed`]), measure states computed per segment and
-/// merged in canonical segment-index order, store columns scanned per
-/// `(model fp, segment fp, unit)`. On `Device::Parallel` the segments fan
-/// across the runtime pool (intra-segment extraction then runs
-/// single-core — extraction output is device-independent, so results stay
-/// bit-identical to `Device::SingleCore`).
-///
-/// Differences from the unsegmented pass, by design:
-/// - **No early stopping.** Every block of every segment is processed, so
-///   the merged scores and the extractor call counts are independent of
-///   device and segment schedule; ε only classifies pairs as pending.
-/// - **Budget row/block caps apply per segment** (each segment stream
-///   checks its own local counts), which keeps cap semantics identical
-///   whether segments run sequentially or fanned out. The wall-clock
-///   deadline and cancellation stay global. An interrupted segment stops
-///   streaming; the others still run, and the first (lowest-index)
-///   interruption is reported as the pass's completion status.
-/// - **Per-hypothesis states only.** Merged composite states (logreg's
-///   model merging) never arise here: measures without
-///   [`Measure::supports_segment_merge`] are rejected up front with the
-///   typed error the planner also raises at bind time.
-fn inspect_segmented(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-    seg_sources: Option<&[Option<StoreSource>]>,
-    budget: Option<&ArmedBudget>,
-) -> Result<SharedOutcome, DniError> {
-    inspect_segmented_with(
-        reqs,
-        config,
-        seg_sources,
-        budget,
-        &SegmentedRunOpts::default(),
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`inspect_segmented`] with view hooks: an optional skipped prefix
-/// revived from serialized base states, and optional capture of the
-/// final merged states. Because the per-segment streams are seeded by
-/// true segment index and never early-stop, `stored(0..k) ⊕ fresh(k..n)`
-/// reproduces the cold fold `fresh(0..n)` bit-exactly — the refresh ≡
-/// cold invariant materialized views rely on. Callable on one-segment
-/// datasets too (view builds always come through here so their states
-/// are full-pass deterministic).
-pub(crate) fn inspect_segmented_with(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-    seg_sources: Option<&[Option<StoreSource>]>,
-    budget: Option<&ArmedBudget>,
-    opts: &SegmentedRunOpts<'_>,
-) -> Result<(SharedOutcome, Option<Vec<ViewStateCapture>>), DniError> {
-    validate_config(config)?;
-    if reqs.is_empty() {
-        return Ok((SharedOutcome::default(), None));
-    }
-    for req in reqs {
-        validate_request(req)?;
-    }
-    let t_start = Instant::now();
-    let extractor = reqs[0].extractor;
-    let dataset = reqs[0].dataset;
-    let ns = dataset.ns;
-    let segments = dataset.segments();
-    if opts.skip_segments > 0
-        && (opts.base_states.is_none() || opts.skip_segments >= segments.len())
-    {
-        return Err(DniError::BadConfig(format!(
-            "cannot skip {} of {} segments{}",
-            opts.skip_segments,
-            segments.len(),
-            if opts.base_states.is_none() {
-                " without base states"
-            } else {
-                ""
-            }
-        )));
+        results.push((frame, profile));
     }
 
-    // Up-front typed guard: never a silently wrong cross-segment score.
-    for req in reqs {
-        for measure in &req.measures {
-            if !measure.supports_segment_merge() {
-                return Err(DniError::Query(format!(
-                    "measure {} cannot run on segmented datasets",
-                    measure.id()
-                )));
-            }
-        }
-    }
-    if let Some(sources) = seg_sources {
-        if sources.len() != segments.len() {
-            return Err(DniError::BadConfig(format!(
-                "{} store sources for {} segments",
-                sources.len(),
-                segments.len()
-            )));
-        }
-    }
-
-    // Union units, union hypotheses (by function identity), unit
-    // selections and deduplicated per-pair slots — the same sharing
-    // structure as the unsegmented pass, minus merged composites.
-    let mut union_units: Vec<usize> = reqs
-        .iter()
-        .flat_map(|r| r.groups.iter().flat_map(|g| g.units.iter().copied()))
-        .collect();
-    union_units.sort_unstable();
-    union_units.dedup();
-
-    let hyp_ptr = |h: &dyn HypothesisFn| h as *const dyn HypothesisFn as *const u8;
-    let mut union_hyps: Vec<&dyn HypothesisFn> = Vec::new();
-    let mut hyp_col_of: HashMap<*const u8, usize> = HashMap::new();
-    for req in reqs {
-        for hyp in &req.hypotheses {
-            hyp_col_of.entry(hyp_ptr(*hyp)).or_insert_with(|| {
-                union_hyps.push(*hyp);
-                union_hyps.len() - 1
-            });
-        }
-    }
-
-    struct Selection {
-        units: Vec<usize>,
-        demux: ColumnDemux,
-        identity: bool,
-    }
-    /// One deduplicated (unit selection, measure, hypothesis) pair; fresh
-    /// states are minted from `measure` per segment and merged afterward.
-    struct SegSlot<'m> {
-        sel: usize,
-        eps: f32,
-        measure: &'m dyn Measure,
-        model_id: String,
-        group_id: String,
-        hyp: usize,
-    }
-    let mut selections: Vec<Selection> = Vec::new();
-    let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut slots: Vec<SegSlot<'_>> = Vec::new();
-    let mut slot_of: HashMap<(Vec<usize>, String, usize), usize> = HashMap::new();
-    let mut members: Vec<Vec<MemberEntry>> = Vec::with_capacity(reqs.len());
-    for req in reqs {
-        let mut entries = Vec::new();
-        for group in &req.groups {
-            let sel = match sel_of.get(&group.units) {
-                Some(&sel) => sel,
-                None => {
-                    let demux = ColumnDemux::new(&union_units, &group.units)?;
-                    selections.push(Selection {
-                        units: group.units.clone(),
-                        identity: demux.is_identity(union_units.len()),
-                        demux,
-                    });
-                    sel_of.insert(group.units.clone(), selections.len() - 1);
-                    selections.len() - 1
-                }
-            };
-            for measure in &req.measures {
-                let eps = epsilon_for(*measure, config);
-                let pair_slots: Vec<usize> = req
-                    .hypotheses
-                    .iter()
-                    .map(|hyp| {
-                        let col = hyp_col_of[&hyp_ptr(*hyp)];
-                        let key = (group.units.clone(), measure.id().to_string(), col);
-                        *slot_of.entry(key).or_insert_with(|| {
-                            slots.push(SegSlot {
-                                sel,
-                                eps,
-                                measure: *measure,
-                                model_id: req.model_id.clone(),
-                                group_id: group.id.clone(),
-                                hyp: col,
-                            });
-                            slots.len() - 1
-                        })
-                    })
-                    .collect();
-                entries.push(MemberEntry {
-                    slots: MemberSlots::PerHyp(pair_slots),
-                    group_id: group.id.clone(),
-                });
-            }
-        }
-        members.push(entries);
-    }
-
-    // Intra-segment work always runs single-core: on the parallel device
-    // the *segments* are the fan-out grain (nesting pool scopes would
-    // deadlock-prone the fixed pool), and extraction output is
-    // device-independent, so this changes schedule, never results.
-    let run_segment = |seg: &crate::model::SegmentInfo| -> Result<SegOutput, DniError> {
-        let order = shuffled_indices(seg.len, segment_seed(config.seed, seg.index));
-        let records: Vec<&Record> = order
-            .iter()
-            .map(|&i| &dataset.records[seg.start + i])
-            .collect();
-        let mut store_pass = seg_sources
-            .and_then(|s| s[seg.index].as_ref())
-            .map(|src| StorePass::new(src, &union_units, seg.len, ns));
-        let mut states: Vec<Box<dyn MeasureState>> = slots
-            .iter()
-            .map(|slot| slot.measure.new_state(selections[slot.sel].units.len()))
-            .collect();
-
-        let mut profile = Profile::default();
-        let mut interrupted = None;
-        let nb = config.block_records;
-        let mut block_start = 0usize;
-        while block_start < records.len() {
-            // Row/block caps are checked against this segment's local
-            // counts (see the function docs); deadline/cancel are global.
-            if let Some(b) = budget {
-                if let Some(status) = b.check(profile.records_read, profile.blocks_processed) {
-                    interrupted = Some(status);
-                    break;
-                }
-            }
-            let block_end = (block_start + nb).min(records.len());
-            let block = &records[block_start..block_end];
-            profile.records_read += block.len();
-            profile.blocks_processed += 1;
-
-            let t0 = Instant::now();
-            let block_positions = &order[block_start..block_end];
-            let union_behaviors = match &mut store_pass {
-                Some(pass) => pass.fetch_block(
-                    extractor,
-                    block,
-                    block_positions,
-                    &union_units,
-                    Device::SingleCore,
-                    ns,
-                    seg.len,
-                ),
-                None => extract_records(extractor, block, &union_units, Device::SingleCore, ns),
-            };
-            let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; selections.len()];
-            for slot in &slots {
-                if sel_behaviors[slot.sel].is_none() && !selections[slot.sel].identity {
-                    sel_behaviors[slot.sel] =
-                        Some(selections[slot.sel].demux.apply(&union_behaviors));
-                }
-            }
-            let d0 = t0.elapsed();
-
-            let t1 = Instant::now();
-            let mut hyp_cols: Vec<Option<Vec<f32>>> = vec![None; union_hyps.len()];
-            for (c, hyp) in union_hyps.iter().enumerate() {
-                hyp_cols[c] = Some(hypothesis_column(
-                    *hyp,
-                    block,
-                    ns,
-                    &dataset.id,
-                    config.cache.as_ref(),
-                )?);
-            }
-            let d1 = t1.elapsed();
-
-            let t2 = Instant::now();
-            for (slot, state) in slots.iter().zip(states.iter_mut()) {
-                let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
-                let col = hyp_cols[slot.hyp].as_ref().expect("evaluated column");
-                // No early stopping on segment streams: the returned
-                // error only matters merged, via `convergence_error`.
-                let _ = state.process_block(behaviors, col);
-            }
-            let d2 = t2.elapsed();
-
-            profile.unit_extraction += d0;
-            profile.hypothesis_extraction += d1;
-            profile.inspection += d2;
-            block_start = block_end;
-        }
-
-        let mut stats = match &mut store_pass {
-            Some(pass) => {
-                // A fully streamed segment commits complete columns; an
-                // interrupted one commits its prefix as partials.
-                pass.flush_writeback(seg.len, ns);
-                std::mem::take(&mut pass.stats)
-            }
-            None => StoreStats::default(),
-        };
-        if profile.blocks_processed > 0 {
-            stats.segment_passes = 1;
-        }
-        Ok(SegOutput {
-            states,
-            profile,
-            stats,
-            interrupted,
-        })
-    };
-
-    // Stream every non-skipped segment: sequentially on the single-core
-    // device, fanned across the runtime pool on the parallel device.
-    // Either way the outputs land in segment-index order.
-    let streamed = &segments[opts.skip_segments..];
-    let mut outputs: Vec<Option<Result<SegOutput, DniError>>> =
-        (0..streamed.len()).map(|_| None).collect();
-    if config.device.threads() <= 1 || streamed.len() < 2 {
-        for (seg, out) in streamed.iter().zip(outputs.iter_mut()) {
-            *out = Some(run_segment(seg));
-        }
-    } else {
-        let run_segment = &run_segment;
-        deepbase_runtime::global().scope(|scope| {
-            for (seg, out) in streamed.iter().zip(outputs.iter_mut()) {
-                scope.spawn(move || {
-                    *out = Some(run_segment(seg));
-                });
-            }
-        });
-    }
-
-    // Fold the per-segment outputs in canonical segment-index order:
-    // first error wins, states merge pairwise, accounting accumulates.
-    // With a skipped prefix the fold starts from the revived base states
-    // — exactly the state the cold fold had after the prefix.
-    let mut pass = Profile::default();
-    let mut store_stats = StoreStats::default();
-    let mut interrupted: Option<CompletionStatus> = None;
-    let mut extraction_passes = 0usize;
-    let mut merged_states: Vec<Option<Box<dyn MeasureState>>> = Vec::new();
-    if let Some(base) = opts.base_states.filter(|_| opts.skip_segments > 0) {
-        merged_states = slots
-            .iter()
-            .map(|slot| {
-                let hyp_id = union_hyps[slot.hyp].id();
-                let stored = base
-                    .iter()
-                    .find(|s| {
-                        s.group_id == slot.group_id
-                            && s.measure_id == slot.measure.id()
-                            && s.hyp_id == hyp_id
-                    })
-                    .ok_or_else(|| {
-                        DniError::BadConfig(format!(
-                            "stored view state missing slot ({}, {}, {hyp_id})",
-                            slot.group_id,
-                            slot.measure.id(),
-                        ))
-                    })?;
-                let state = slot
-                    .measure
-                    .deserialize_state(selections[slot.sel].units.len(), &stored.bytes)
-                    .ok_or_else(|| {
-                        DniError::BadConfig(format!(
-                            "stored view state for ({}, {}, {hyp_id}) does not revive",
-                            slot.group_id,
-                            slot.measure.id(),
-                        ))
-                    })?;
-                Ok(Some(state))
-            })
-            .collect::<Result<_, DniError>>()?;
-    }
-    for output in outputs {
-        let output = output.expect("every segment slot filled")?;
-        pass.records_read += output.profile.records_read;
-        pass.blocks_processed += output.profile.blocks_processed;
-        pass.unit_extraction += output.profile.unit_extraction;
-        pass.hypothesis_extraction += output.profile.hypothesis_extraction;
-        pass.inspection += output.profile.inspection;
-        store_stats.accumulate(&output.stats);
-        if output.stats.segment_passes > 0 {
-            extraction_passes += 1;
-        }
-        if interrupted.is_none() {
-            interrupted = output.interrupted;
-        }
-        if merged_states.is_empty() {
-            merged_states = output.states.into_iter().map(Some).collect();
-        } else {
-            for (base, seg_state) in merged_states.iter_mut().zip(output.states.iter()) {
-                let base = base.as_mut().expect("merged state present");
-                if !base.merge_from(seg_state.as_ref()) {
-                    return Err(DniError::Internal(
-                        "measure state refused a cross-segment merge it advertised".into(),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Pending pairs come from the *merged* states' convergence errors —
-    // the estimate one pass over all the data would have reported last.
-    let mut pending: Vec<PendingPair> = Vec::new();
-    for (slot, state) in slots.iter().zip(merged_states.iter()) {
-        let err = state
-            .as_ref()
-            .expect("merged state present")
-            .convergence_error();
-        if err > slot.eps {
-            pending.push(PendingPair {
-                group_id: slot.group_id.clone(),
-                measure_id: slot.measure.id().to_string(),
-                hyp_id: union_hyps[slot.hyp].id().to_string(),
-                error: err,
-                epsilon: slot.eps,
-            });
-        }
-    }
-    let completion = Completion {
-        status: interrupted.unwrap_or(CompletionStatus::Converged),
-        rows_read: pass.records_read,
-        pending,
-    };
-
-    // Emit each unique pair once, then demux per member — the same span
-    // machinery as the unsegmented pass, with exactly one span per slot.
-    let mut merged = ResultFrame::default();
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(slots.len());
-    for (slot, state) in slots.iter().zip(merged_states.iter()) {
-        let state = state.as_ref().expect("merged state present");
-        let units = &selections[slot.sel].units;
-        let start = merged.rows.len();
-        let unit_scores = state.unit_scores();
-        let group_score = state.group_score();
-        debug_assert_eq!(unit_scores.len(), units.len());
-        for (&unit, &score) in units.iter().zip(unit_scores.iter()) {
-            merged.rows.push(ScoreRow {
-                model_id: slot.model_id.clone(),
-                group_id: slot.group_id.clone(),
-                measure_id: slot.measure.id().to_string(),
-                hyp_id: union_hyps[slot.hyp].id().to_string(),
-                unit,
-                unit_score: score,
-                group_score,
-            });
-        }
-        spans.push((start, units.len()));
-    }
-
-    let total = t_start.elapsed();
-    pass.total = total;
-    let mut results = Vec::with_capacity(members.len());
-    for (entries, req) in members.iter().zip(reqs) {
-        let mut member_spans: Vec<RowSpan> = Vec::new();
-        for entry in entries {
-            let MemberSlots::PerHyp(pair_slots) = &entry.slots else {
-                unreachable!("segmented slots are always per-hypothesis");
-            };
-            for &s in pair_slots {
-                let (start, len) = spans[s];
-                member_spans.push(RowSpan {
-                    start,
-                    len,
-                    model_id: req.model_id.clone(),
-                    group_id: entry.group_id.clone(),
-                });
-            }
-        }
-        // Without early stopping every member consumes the full pass, so
-        // the pass profile *is* each member's profile.
-        let sole_member_tiles = reqs.len() == 1 && {
-            let mut cursor = 0usize;
-            member_spans.iter().all(|s| {
-                let aligned = s.start == cursor;
-                cursor += s.len;
-                aligned
-            }) && cursor == merged.len()
-        };
-        let frame = if sole_member_tiles {
-            std::mem::take(&mut merged)
-        } else {
-            merged.demux(&member_spans)
-        };
-        results.push((frame, pass.clone()));
-    }
     // Serialize the fold point for view storage. An interrupted pass has
-    // partial states that would poison every later refresh, so capture
-    // refuses it with a typed error instead of persisting it.
-    let captures = if opts.capture_states {
+    // partial states that would poison every later refresh, so a view
+    // pass refuses it with a typed error instead of persisting it.
+    let mut captures = Vec::new();
+    if view.is_some() {
         if completion.status != CompletionStatus::Converged {
             return Err(DniError::DeadlineExceeded(
                 "view materialization needs a complete pass; the run budget interrupted it".into(),
             ));
         }
-        let mut captures = Vec::with_capacity(slots.len());
-        for (slot, state) in slots.iter().zip(merged_states.iter()) {
-            let state = state.as_ref().expect("merged state present");
+        for (slot, st) in slots.iter().zip(&states) {
+            let SlotState::PerHyp(state) = &st.state else {
+                unreachable!("a full pass keeps per-hypothesis states");
+            };
             let bytes = state.serialize_state().ok_or_else(|| {
                 DniError::Query(format!(
                     "measure {} has no durable state; it cannot back a view",
@@ -2463,15 +2025,19 @@ pub(crate) fn inspect_segmented_with(
             captures.push(ViewStateCapture {
                 group_id: slot.group_id.clone(),
                 measure_id: slot.measure.id().to_string(),
-                hyp_id: union_hyps[slot.hyp].id().to_string(),
+                hyp_id: union_hyps[slot.hyps[0]].id().to_string(),
                 bytes,
             });
         }
-        Some(captures)
-    } else {
-        None
-    };
+    }
 
+    // A converging pass is one extraction pass; a full pass counts the
+    // segment streams that read at least one block.
+    let extraction_passes = if early_stop {
+        1
+    } else {
+        store_stats.segment_passes
+    };
     Ok((
         SharedOutcome {
             results,

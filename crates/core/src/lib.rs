@@ -67,8 +67,8 @@
 //! throws its extraction work away: the fully streamed prefix is
 //! persisted as a *partial column* — the valid records densely packed
 //! with a completed-record **watermark** and a checksummed coverage
-//! bitmap (`crates/store/src/format.rs`). The optimizer plans a
-//! `StoreScan` over partials, and the engine scans each streamed block
+//! bitmap (`crates/store/src/format.rs`). The optimizer plans a store
+//! scan over partials, and the engine scans each streamed block
 //! from the stored prefix until it runs past the watermark, resuming
 //! live extraction exactly there — a warm re-run of a previously
 //! early-stopped batch does strictly fewer forward passes and stays
@@ -89,7 +89,7 @@
 //! and a codec tag — blocks are stored `Raw`, `Constant` (a single
 //! 4-byte bit pattern), or `Dict` (bit-packed small-alphabet indices),
 //! whichever is smallest, each checksummed over its encoded bytes. The
-//! optimizer pushes a block-prune predicate into every `StoreScan`
+//! optimizer pushes a block-prune predicate into every store scan
 //! ([`engine::InspectionConfig::pushdown`], on by default): a block the
 //! zone map proves constant-and-finite is served straight from the zone
 //! entry — no read, no checksum, bit-identical values — and `explain`
@@ -151,18 +151,23 @@
 //! plain [`model::Dataset::new`] constructor is simply the one-segment
 //! case, so every unsegmented caller behaves bit-identically.
 //!
-//! Execution follows the segment map. The streaming engine runs one
-//! pass **per segment** (per-segment shuffle seeded from `(seed,
-//! segment index)`, `Device::Parallel` fans segments across the runtime
-//! pool) and combines per-segment measure states by exact merging
-//! ([`measure::MeasureState::merge_from`], e.g. `StreamingPearson::merge`)
-//! in canonical segment order — SingleCore and Parallel stay
-//! bit-identical. Measures whose states cannot merge exactly (the
-//! order-dependent SGD probes) are rejected at bind time with a typed
-//! [`DniError::Query`], never silently mis-scored. Store columns are
-//! keyed per **segment** fingerprint ([`model::Dataset::segment_fingerprint`]),
-//! and the optimizer makes the scan-vs-extract decision per segment
-//! ([`plan::GroupSource::Segments`]): appending records
+//! Execution follows the segment map. The streaming engine has one
+//! executor, which runs one stream **per segment** (per-segment shuffle
+//! seeded from `(seed, segment index)`) and derives its stopping policy
+//! from its inputs. A plain pass over a one-segment dataset **converges**:
+//! pairs stop at ε and the stream stops once all have converged. A
+//! multi-segment dataset (or a view pass) runs a **full pass**: every
+//! block is processed, `Device::Parallel` fans the segment streams across
+//! the runtime pool, and per-segment measure states combine by exact
+//! merging ([`measure::MeasureState::merge_from`], e.g.
+//! `StreamingPearson::merge`) in canonical segment order — SingleCore and
+//! Parallel stay bit-identical. Measures whose states cannot merge
+//! exactly (the order-dependent SGD probes) are rejected at bind time
+//! with a typed [`DniError::Query`], never silently mis-scored. Store
+//! columns are keyed per **segment** fingerprint
+//! ([`model::Dataset::segment_fingerprint`]; a one-segment dataset's is
+//! its content fingerprint), and the optimizer makes the scan-vs-extract
+//! decision per segment ([`plan::GroupSource::Store`]): appending records
 //! ([`session::Session::append_records`]) and re-running a query scans
 //! the old segments warm and pays forward passes **only for the new
 //! ones** — warm incremental re-inspection, bit-identical to a cold run
@@ -197,9 +202,9 @@
 //!   **only the appended segments** and folds them into the stored
 //!   measure states ([`measure::MeasureState::merge_from`] over
 //!   deserialized states). Because per-segment streams are seeded by
-//!   true segment index and view passes never early-stop, the refreshed
-//!   frame is bit-identical to a full cold rebuild. Reads of a stale
-//!   view raise [`DniError::ViewStale`] instead of silently paying
+//!   true segment index and view passes always run the full pass, the
+//!   refreshed frame is bit-identical to a full cold rebuild. Reads of a
+//!   stale view raise [`DniError::ViewStale`] instead of silently paying
 //!   extraction.
 //! * **Anything else changed** (model weights, config, mutated
 //!   records) — the view is invalid; `refresh_view` rebuilds it from
@@ -360,8 +365,8 @@ pub mod prelude {
     pub use crate::admission::{AdmissionPermit, AdmissionScheduler, SchedulerStats};
     pub use crate::cache::{CacheStats, HypothesisCache};
     pub use crate::engine::{
-        inspect, inspect_shared, inspect_shared_store, CancelToken, Device, EngineKind,
-        InspectionConfig, InspectionRequest, Profile, RunBudget, SharedOutcome, StoreSource,
+        inspect, inspect_shared, CancelToken, Device, EngineKind, InspectionConfig,
+        InspectionRequest, Profile, RunBudget, SharedOutcome,
     };
     pub use crate::error::DniError;
     pub use crate::extract::{

@@ -35,9 +35,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheStats, HypothesisCache};
 use crate::engine::{
-    inspect_segmented_with, inspect_shared_store_armed, Device, EngineKind, InspectionConfig,
-    InspectionRequest, PassSource, Profile, RunBudget, SegmentedRunOpts, SharedOutcome,
-    StoreSource, ViewStateCapture,
+    inspect_pass, Device, EngineKind, InspectionConfig, InspectionRequest, Profile, RunBudget,
+    SharedOutcome, StoreSource, ViewFold, ViewStateCapture,
 };
 // The optimizer's per-group store decision lives next to the executor
 // that consumes it; re-exported here because it is a planning artifact.
@@ -237,8 +236,6 @@ pub struct LogicalPlan {
     pub measures: Vec<Arc<dyn Measure>>,
     /// Validated output schema (column name, type), in SELECT order.
     schema: Vec<(String, ColType)>,
-    /// Lazily computed dataset content fingerprint.
-    dataset_fp: OnceLock<u64>,
 }
 
 impl LogicalPlan {
@@ -250,14 +247,6 @@ impl LogicalPlan {
                 .map(|(n, t)| (n.as_str(), *t))
                 .collect::<Vec<_>>(),
         ))
-    }
-
-    /// Content fingerprint of the bound dataset (store key). Computed on
-    /// first use and cached for the plan's lifetime.
-    pub fn dataset_fingerprint(&self) -> u64 {
-        *self
-            .dataset_fp
-            .get_or_init(|| self.dataset.content_fingerprint())
     }
 }
 
@@ -388,7 +377,6 @@ pub fn bind(query: &InspectQuery, catalog: &Catalog) -> Result<LogicalPlan, DniE
         dataset,
         measures,
         schema,
-        dataset_fp: OnceLock::new(),
     })
 }
 
@@ -556,15 +544,13 @@ pub enum GroupSource {
     /// extractor provides no content fingerprint, so its columns cannot
     /// be keyed durably.
     ExtractUnkeyed,
-    /// Store-backed: scan the `hits`, extract the `misses`, merge into
-    /// the union stream (and write back under a read-write policy).
-    StoreScan(StorePlan),
-    /// Segmented store-backed: the dataset has sealed segments and the
-    /// scan-vs-extract decision is made *per segment*, each under its
-    /// own `(model fp, segment fp)` column key. Appending records and
+    /// Store-backed, one scan-vs-extract decision per dataset segment,
+    /// each under its own `(model fp, segment fp)` column key: scan the
+    /// hits, extract the rest live, merge into the union stream (and
+    /// write back under a read-write policy). Appending records and
     /// re-running therefore scans the old segments warm and extracts
     /// only the new ones.
-    Segments(Vec<SegmentSource>),
+    Store(Vec<SegmentSource>),
     /// Served by replaying a fresh materialized view's stored frame:
     /// the group schedules zero waves — zero extraction passes and zero
     /// store block reads.
@@ -604,7 +590,7 @@ pub fn freshness_label(freshness: &ViewFreshness) -> String {
     }
 }
 
-/// Per-segment source decision of a [`GroupSource::Segments`] group.
+/// Per-segment source decision of a [`GroupSource::Store`] group.
 pub struct SegmentSource {
     /// Segment index within the dataset's canonical order.
     pub index: usize,
@@ -612,22 +598,8 @@ pub struct SegmentSource {
     pub start: usize,
     /// Record count of the segment.
     pub len: usize,
-    /// The segment's content fingerprint (the dataset-fp slot of the
-    /// store column key for this segment's scans and write-backs).
-    pub fingerprint: u64,
-    /// Store plan for this segment, `None` when the store holds nothing
-    /// for it (pure live extraction, written back under read-write).
-    pub plan: Option<StorePlan>,
-}
-
-impl SegmentSource {
-    /// Unit columns a complete stored copy serves in this segment.
-    fn scan_hits(&self) -> usize {
-        match &self.plan {
-            Some(sp) if sp.read => sp.hits.len(),
-            _ => 0,
-        }
-    }
+    /// Store plan for this segment, keyed by the segment's fingerprint.
+    pub plan: StorePlan,
 }
 
 /// One `(extractor, dataset)` shared-extraction group of a physical plan.
@@ -672,15 +644,12 @@ impl PlanGroup {
     }
 
     /// Union unit columns served by a complete store scan (charged to
-    /// the admission scan budget). Segmented groups run one pass per
-    /// segment, so the scan budget is charged at the widest single
+    /// the admission scan budget). Segment streams each hold their own
+    /// scans, so the scan budget is charged at the widest single
     /// segment, not the sum.
     pub fn scan_width(&self) -> usize {
         match &self.source {
-            GroupSource::StoreScan(sp) if sp.read => sp.hits.len(),
-            GroupSource::Segments(segs) => {
-                segs.iter().map(SegmentSource::scan_hits).max().unwrap_or(0)
-            }
+            GroupSource::Store(segs) => segs.iter().map(|s| s.plan.hits.len()).max().unwrap_or(0),
             _ => 0,
         }
     }
@@ -689,36 +658,26 @@ impl PlanGroup {
     /// without a complete stored copy (including partial columns, whose
     /// tails extract live) plus hypothesis columns (always evaluated
     /// live). This is the width `AdmissionConfig::max_stream_width`
-    /// bounds. A segmented group credits a unit column off the
-    /// extraction budget only when *every* segment can scan it
-    /// (strictly conservative: a column warm in some segments still
-    /// extracts live in the others).
+    /// bounds. A unit column is credited off the extraction budget only
+    /// when *every* segment can scan it (strictly conservative: a column
+    /// warm in some segments still extracts live in the others).
     pub fn extract_width(&self) -> usize {
-        match &self.source {
-            GroupSource::Segments(_) => self.stream_width() - self.segment_scan_hits().len(),
-            _ => self.stream_width() - self.scan_width(),
-        }
+        self.stream_width() - self.scan_hits().len()
     }
 
     /// Unit columns with a complete stored copy in every segment (the
-    /// set credited off the extraction budget for segmented groups).
-    fn segment_scan_hits(&self) -> HashSet<usize> {
-        let GroupSource::Segments(segs) = &self.source else {
+    /// set credited off the extraction budget).
+    fn scan_hits(&self) -> HashSet<usize> {
+        let GroupSource::Store(segs) = &self.source else {
             return HashSet::new();
         };
-        let mut iter = segs.iter();
-        let mut common: HashSet<usize> = match iter.next() {
-            Some(s) => match &s.plan {
-                Some(sp) if sp.read => sp.hits.iter().copied().collect(),
-                _ => HashSet::new(),
-            },
-            None => HashSet::new(),
-        };
-        for s in iter {
-            match &s.plan {
-                Some(sp) if sp.read => common.retain(|u| sp.hits.binary_search(u).is_ok()),
-                _ => common.clear(),
-            }
+        let mut segs = segs.iter();
+        let mut common: HashSet<usize> = segs
+            .next()
+            .map(|s| s.plan.hits.iter().copied().collect())
+            .unwrap_or_default();
+        for s in segs {
+            common.retain(|u| s.plan.hits.binary_search(u).is_ok());
         }
         common
     }
@@ -748,7 +707,7 @@ pub struct PhysicalPlan {
     /// (execution arms the budget of the config it is given, which is
     /// normally the same one).
     budget: RunBudget,
-    /// The open store the `StoreScan` sources execute against.
+    /// The open store the `Store` sources execute against.
     store: Option<Arc<BehaviorStore>>,
     /// Process-wide admission scheduler: when set, every execution wave
     /// acquires a width permit before streaming, so the plan's waves
@@ -784,6 +743,60 @@ fn items_widths(
     }
     let scanned = units.iter().filter(|u| scan_hits.contains(u)).count();
     (units.len() - scanned + hyps.len(), scanned)
+}
+
+/// The store decision for every segment of `dataset`: the union unit
+/// columns stored complete or partial under `(model_fp, segment
+/// fingerprint)`, the policy flags, and the plan-time pushdown estimate.
+/// A one-segment dataset's segment fingerprint is its content
+/// fingerprint, so stores written before the first append stay warm.
+fn probe_store(
+    binding: &StoreBinding,
+    config: &InspectionConfig,
+    model_fp: u64,
+    dataset: &Dataset,
+    union_units: &[usize],
+) -> Vec<SegmentSource> {
+    let store = &binding.store;
+    dataset
+        .segments()
+        .into_iter()
+        .map(|seg| {
+            let dataset_fp = dataset.segment_fingerprint(seg.index);
+            let hits = store.available_units(model_fp, dataset_fp, union_units);
+            let partials = store.partial_units(model_fp, dataset_fp, union_units);
+            // Sum each complete hit's prunable/total block counts from its
+            // (cached) zone table. Advisory — the scan re-decides per block.
+            let pruned_estimate = config.pushdown.then(|| {
+                hits.iter().fold((0, 0), |(p, t), &unit| {
+                    let key = deepbase_store::ColumnKey {
+                        model_fp,
+                        dataset_fp,
+                        unit,
+                    };
+                    match store.zone_summary(&key) {
+                        Some((prunable, total)) => (p + prunable, t + total),
+                        None => (p, t),
+                    }
+                })
+            });
+            SegmentSource {
+                index: seg.index,
+                start: seg.start,
+                len: seg.len,
+                plan: StorePlan {
+                    model_fp,
+                    dataset_fp,
+                    hits,
+                    partials,
+                    write: binding.policy == MaterializationPolicy::ReadWrite,
+                    writeback_limit_bytes: binding.writeback_limit_bytes,
+                    prune: config.pushdown,
+                    pruned_estimate,
+                },
+            }
+        })
+        .collect()
 }
 
 /// Groups the bound queries' work items by `(extractor, dataset)`,
@@ -872,8 +885,8 @@ pub(crate) fn optimize_with(
             }
             if let Some(hit) = &view {
                 // Replay only where a cold INSPECT would also run the
-                // segmented full pass: on a single-segment dataset the
-                // live path may stop early, and the contract is
+                // full pass: on a single-segment dataset the pass
+                // converges and may stop early, and the contract is
                 // bit-identity between replay and cold execution.
                 if let (ViewFreshness::Fresh, Some(frame), true) = (
                     hit.note.freshness,
@@ -1030,88 +1043,24 @@ pub(crate) fn optimize_with(
         group.unique_hypotheses = hyp_cols.len();
         group.shared_measure_states = state_keys.len();
 
-        // Source choice: probe the store for the union columns under the
-        // group's (model fingerprint, dataset fingerprint) key. Groups
-        // key on extractor identity, so any member yields the
-        // fingerprints. Only the streaming DeepBase engine consumes
+        // Source choice: probe the store for the union columns, segment by
+        // segment. Groups key on extractor identity, so any member yields
+        // the fingerprints. Only the streaming DeepBase engine consumes
         // store sources — the materializing fallbacks would silently
         // ignore one, so their groups stay plain `Extract` and `explain`
         // never promises a scan that cannot happen.
         let streaming = config.engine == EngineKind::DeepBase;
         if let (true, Some(binding), Some(first)) = (streaming, binding, group.items.first()) {
             let plan = &plans[first.query];
-            let model = &plan.models[first.model_pos];
-            let probe = |dataset_fp: u64, model_fp: u64| {
-                let hits = binding
-                    .store
-                    .available_units(model_fp, dataset_fp, &group.union_units);
-                let partials =
-                    binding
-                        .store
-                        .partial_units(model_fp, dataset_fp, &group.union_units);
-                let misses: Vec<usize> = group
-                    .union_units
-                    .iter()
-                    .copied()
-                    .filter(|u| {
-                        hits.binary_search(u).is_err() && partials.binary_search(u).is_err()
-                    })
-                    .collect();
-                // Plan-time pushdown estimate: sum each complete hit's
-                // prunable/total block counts from its (cached) zone
-                // table. Advisory — the scan re-decides per block.
-                let pruned_estimate = config.pushdown.then(|| {
-                    hits.iter().fold((0usize, 0usize), |(p, t), &unit| {
-                        match binding.store.zone_summary(&deepbase_store::ColumnKey {
-                            model_fp,
-                            dataset_fp,
-                            unit,
-                        }) {
-                            Some((prunable, total)) => (p + prunable, t + total),
-                            None => (p, t),
-                        }
-                    })
-                });
-                StorePlan {
-                    model_fp,
-                    dataset_fp,
-                    hits,
-                    partials,
-                    misses,
-                    read: true,
-                    write: binding.policy == MaterializationPolicy::ReadWrite,
-                    writeback_limit_bytes: binding.writeback_limit_bytes,
-                    prune: config.pushdown,
-                    pruned_estimate,
-                }
-            };
-            group.source = match model.fingerprint() {
+            group.source = match plan.models[first.model_pos].fingerprint() {
                 None => GroupSource::ExtractUnkeyed,
-                Some(model_fp) if plan.dataset.segment_count() > 1 => {
-                    // Each sealed segment is probed under its own
-                    // fingerprint, so an append invalidates nothing:
-                    // the old segments' columns stay warm and only the
-                    // new segments extract (and write back) live.
-                    let segs = plan
-                        .dataset
-                        .segments()
-                        .into_iter()
-                        .map(|seg| {
-                            let fp = plan.dataset.segment_fingerprint(seg.index);
-                            SegmentSource {
-                                index: seg.index,
-                                start: seg.start,
-                                len: seg.len,
-                                fingerprint: fp,
-                                plan: Some(probe(fp, model_fp)),
-                            }
-                        })
-                        .collect();
-                    GroupSource::Segments(segs)
-                }
-                Some(model_fp) => {
-                    GroupSource::StoreScan(probe(plan.dataset_fingerprint(), model_fp))
-                }
+                Some(model_fp) => GroupSource::Store(probe_store(
+                    binding,
+                    config,
+                    model_fp,
+                    &plan.dataset,
+                    &group.union_units,
+                )),
             };
         }
 
@@ -1119,11 +1068,7 @@ pub(crate) fn optimize_with(
         // budget, everything live to the stream width. Oversized groups
         // split into in-order waves that respect both bounds; a lone
         // item wider than a bound gets its own wave.
-        let scan_hits: HashSet<usize> = match &group.source {
-            GroupSource::StoreScan(sp) if sp.read => sp.hits.iter().copied().collect(),
-            GroupSource::Segments(_) => group.segment_scan_hits(),
-            _ => HashSet::new(),
-        };
+        let scan_hits = group.scan_hits();
         stats.scan_charged_columns += scan_hits.len();
         let fits = |extract: usize, scan: usize| {
             admission.max_stream_width.is_none_or(|b| extract <= b)
@@ -1332,34 +1277,19 @@ impl PhysicalPlan {
         // independent groups fan out across the runtime pool on the
         // parallel device.
         let run_group = |g: &PlanGroup| -> Result<Vec<SharedOutcome>, DniError> {
-            // The store source is shared by the group's waves: every wave
-            // streams the same (model, dataset), so hits apply to each
-            // wave's (sub-)union. Segmented groups carry one source per
-            // segment, handed to the engine in canonical segment order.
-            let whole: Option<StoreSource> = match (&g.source, &self.store) {
-                (GroupSource::StoreScan(sp), Some(store)) => Some(StoreSource {
-                    store: Arc::clone(store),
-                    plan: sp.clone(),
-                }),
-                _ => None,
-            };
-            let per_segment: Option<Vec<Option<StoreSource>>> = match (&g.source, &self.store) {
-                (GroupSource::Segments(segs), Some(store)) => Some(
-                    segs.iter()
-                        .map(|s| {
-                            s.plan.as_ref().map(|sp| StoreSource {
-                                store: Arc::clone(store),
-                                plan: sp.clone(),
-                            })
-                        })
-                        .collect(),
-                ),
-                _ => None,
-            };
-            let source: PassSource<'_> = match (&whole, &per_segment) {
-                (Some(s), _) => PassSource::Whole(s),
-                (None, Some(segs)) => PassSource::PerSegment(segs),
-                (None, None) => PassSource::None,
+            // The store sources are shared by the group's waves: every
+            // wave streams the same (model, dataset), so hits apply to
+            // each wave's (sub-)union. One source per segment, in segment
+            // order.
+            let sources: Vec<StoreSource> = match (&g.source, &self.store) {
+                (GroupSource::Store(segs), Some(store)) => segs
+                    .iter()
+                    .map(|s| StoreSource {
+                        store: Arc::clone(store),
+                        plan: s.plan.clone(),
+                    })
+                    .collect(),
+                _ => Vec::new(),
             };
             // Contain worker panics at the group boundary: a hypothesis
             // or extractor that panics mid-stream poisons only its own
@@ -1398,7 +1328,8 @@ impl PhysicalPlan {
                                 }
                             })
                             .collect();
-                        inspect_shared_store_armed(&requests, &config, source, armed.as_ref())
+                        inspect_pass(&requests, &config, &sources, armed.as_ref(), None)
+                            .map(|(outcome, _)| outcome)
                     })
                     .collect()
             }))
@@ -1622,48 +1553,47 @@ impl PhysicalPlan {
                 GroupSource::ExtractUnkeyed => out.push_str(&format!(
                     "{stem}├─ source: live extract (model has no content fingerprint)\n"
                 )),
-                GroupSource::StoreScan(sp) => {
-                    let mode = if sp.write { "read-write" } else { "read-only" };
-                    let partial = if sp.partials.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{} partial, ", sp.partials.len())
+                GroupSource::ViewReplay { .. } => unreachable!("rendered above"),
+                GroupSource::Store(segs) => {
+                    let mode = match segs.first() {
+                        Some(s) if s.plan.write => "read-write",
+                        _ => "read-only",
                     };
-                    out.push_str(&format!(
-                        "{stem}├─ source: store scan ({}/{} unit columns stored, \
-                         {partial}{} extracted live; {mode})\n",
-                        sp.hits.len(),
-                        g.union_units.len(),
-                        sp.misses.len(),
-                    ));
-                    if let Some((pruned, total)) = sp.pruned_estimate {
-                        if total > 0 {
+                    if let [seg] = &segs[..] {
+                        let sp = &seg.plan;
+                        let partial = if sp.partials.is_empty() {
+                            String::new()
+                        } else {
+                            format!("{} partial, ", sp.partials.len())
+                        };
+                        out.push_str(&format!(
+                            "{stem}├─ source: store scan ({}/{} unit columns stored, \
+                             {partial}{} extracted live; {mode})\n",
+                            sp.hits.len(),
+                            g.union_units.len(),
+                            g.union_units.len() - sp.hits.len() - sp.partials.len(),
+                        ));
+                        if let Some((pruned, total)) = sp.pruned_estimate.filter(|e| e.1 > 0) {
                             out.push_str(&format!(
                                 "{stem}├─ pruned: {pruned}/{total} blocks (zone-map pushdown)\n"
                             ));
                         }
+                    } else {
+                        // A segment is warm when every union unit column
+                        // has a complete stored copy, cold when none does.
+                        let total = g.union_units.len();
+                        let warm = segs
+                            .iter()
+                            .filter(|s| total > 0 && s.plan.hits.len() == total)
+                            .count();
+                        let cold = segs.iter().filter(|s| s.plan.hits.is_empty()).count();
+                        let partial = segs.len() - warm - cold;
+                        out.push_str(&format!(
+                            "{stem}├─ segments: {} sealed, {warm} warm, {partial} partial, \
+                             {cold} cold; {mode}\n",
+                            segs.len(),
+                        ));
                     }
-                }
-                GroupSource::ViewReplay { .. } => unreachable!("rendered above"),
-                GroupSource::Segments(segs) => {
-                    // A segment is warm when every union unit column has a
-                    // complete stored copy, cold when none does.
-                    let total = g.union_units.len();
-                    let warm = segs
-                        .iter()
-                        .filter(|s| total > 0 && s.scan_hits() == total)
-                        .count();
-                    let cold = segs.iter().filter(|s| s.scan_hits() == 0).count();
-                    let partial = segs.len() - warm - cold;
-                    let mode = match segs.iter().find_map(|s| s.plan.as_ref()) {
-                        Some(sp) if sp.write => "read-write",
-                        _ => "read-only",
-                    };
-                    out.push_str(&format!(
-                        "{stem}├─ segments: {} sealed, {warm} warm, {partial} partial, \
-                         {cold} cold; {mode}\n",
-                        segs.len(),
-                    ));
                 }
             }
             if let Some(note) = &g.view {
@@ -1740,11 +1670,11 @@ impl PhysicalPlan {
 // View build / refresh execution
 // ---------------------------------------------------------------------
 
-/// Runs the segmented full pass a materialized view is built from (or
-/// refreshed by): one single-model statement, always through
-/// [`inspect_segmented_with`] — even on a one-segment dataset — so the
-/// captured measure states are full-pass deterministic and valid merge
-/// bases for later incremental refreshes.
+/// Runs the full pass a materialized view is built from (or refreshed
+/// by): one single-model statement, always under the engine's full-pass
+/// policy — even on a one-segment dataset — so the captured measure
+/// states are deterministic and valid merge bases for later incremental
+/// refreshes.
 ///
 /// Store-backed segments scan warm columns exactly as a regular
 /// optimized pass would; the pass holds one process-wide admission
@@ -1754,7 +1684,7 @@ pub(crate) fn run_view_pass(
     config: &InspectionConfig,
     binding: Option<&StoreBinding>,
     scheduler: Option<&Arc<AdmissionScheduler>>,
-    opts: &SegmentedRunOpts<'_>,
+    fold: &ViewFold<'_>,
 ) -> Result<(SharedOutcome, Vec<ViewStateCapture>), DniError> {
     let [model] = &plan.models[..] else {
         return Err(DniError::Query(
@@ -1772,41 +1702,17 @@ pub(crate) fn run_view_pass(
     // warm segments scan, cold ones extract live (and write back under a
     // read-write policy), so a view build over a warm store pays no
     // redundant forward passes.
-    let seg_sources: Option<Vec<Option<StoreSource>>> = match (binding, model.fingerprint()) {
-        (Some(b), Some(model_fp)) if config.engine == EngineKind::DeepBase => Some(
-            plan.dataset
-                .segments()
+    let sources: Vec<StoreSource> = match (binding, model.fingerprint()) {
+        (Some(b), Some(model_fp)) if config.engine == EngineKind::DeepBase => {
+            probe_store(b, config, model_fp, &plan.dataset, &union_units)
                 .into_iter()
-                .map(|seg| {
-                    let dataset_fp = plan.dataset.segment_fingerprint(seg.index);
-                    let hits = b.store.available_units(model_fp, dataset_fp, &union_units);
-                    let partials = b.store.partial_units(model_fp, dataset_fp, &union_units);
-                    let misses: Vec<usize> = union_units
-                        .iter()
-                        .copied()
-                        .filter(|u| {
-                            hits.binary_search(u).is_err() && partials.binary_search(u).is_err()
-                        })
-                        .collect();
-                    Some(StoreSource {
-                        store: Arc::clone(&b.store),
-                        plan: StorePlan {
-                            model_fp,
-                            dataset_fp,
-                            hits,
-                            partials,
-                            misses,
-                            read: true,
-                            write: b.policy == MaterializationPolicy::ReadWrite,
-                            writeback_limit_bytes: b.writeback_limit_bytes,
-                            prune: config.pushdown,
-                            pruned_estimate: None,
-                        },
-                    })
+                .map(|s| StoreSource {
+                    store: Arc::clone(&b.store),
+                    plan: s.plan,
                 })
-                .collect(),
-        ),
-        _ => None,
+                .collect()
+        }
+        _ => Vec::new(),
     };
     // One permit for the whole pass (a view pass is a single wave),
     // charged conservatively at the statement's full extraction width so
@@ -1821,15 +1727,8 @@ pub(crate) fn run_view_pass(
         measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
     };
     let armed = config.budget.arm();
-    let (outcome, captures) = catch_unwind(AssertUnwindSafe(|| {
-        inspect_segmented_with(
-            &[request],
-            config,
-            seg_sources.as_deref(),
-            armed.as_ref(),
-            opts,
-        )
+    catch_unwind(AssertUnwindSafe(|| {
+        inspect_pass(&[request], config, &sources, armed.as_ref(), Some(fold))
     }))
-    .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))?;
-    Ok((outcome, captures.unwrap_or_default()))
+    .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
 }

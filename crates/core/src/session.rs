@@ -30,7 +30,7 @@
 
 use crate::admission::AdmissionScheduler;
 use crate::cache::HypothesisCache;
-use crate::engine::{EngineKind, InspectionConfig, RunBudget, SegmentedRunOpts, ViewStateCapture};
+use crate::engine::{EngineKind, InspectionConfig, RunBudget, ViewFold, ViewStateCapture};
 use crate::error::DniError;
 use crate::model::{Dataset, HypothesisFn, Record};
 use crate::plan::{
@@ -873,7 +873,7 @@ impl Session {
     }
 
     /// Materializes one INSPECT statement as a named durable view: runs
-    /// the segmented full pass (warm store segments scan, cold ones
+    /// the engine's full pass (warm store segments scan, cold ones
     /// extract), captures the mergeable measure states alongside the
     /// result frame, and persists everything atomically under
     /// `<store>/views/`. An existing view of the same name is replaced.
@@ -925,11 +925,7 @@ impl Session {
             &self.config.inspection,
             self.store_binding().as_ref(),
             self.config.scheduler.as_ref(),
-            &SegmentedRunOpts {
-                skip_segments: 0,
-                base_states: None,
-                capture_states: true,
-            },
+            &ViewFold { skip: 0, base: &[] },
         )?;
         let doc = ViewDoc {
             name: name.to_string(),
@@ -1022,10 +1018,9 @@ impl Session {
                     &self.config.inspection,
                     self.store_binding().as_ref(),
                     self.config.scheduler.as_ref(),
-                    &SegmentedRunOpts {
-                        skip_segments: doc.segment_fps.len(),
-                        base_states: Some(&base),
-                        capture_states: true,
+                    &ViewFold {
+                        skip: doc.segment_fps.len(),
+                        base: &base,
                     },
                 )?;
                 let updated = ViewDoc {

@@ -147,36 +147,45 @@ fn cold_reference(device: Device, segments: usize) -> Vec<Table> {
 
 #[test]
 fn read_view_replays_bit_identically_with_zero_passes_and_zero_scans() {
-    for device in [Device::SingleCore, Device::Parallel(3)] {
-        let dir = tmp_dir(&format!("replay-{:?}", device).replace(['(', ')'], "-"));
-        let reference = cold_reference(device, 2);
-        let (mut session, counting) = session_at(&dir, device, 2, MaterializationPolicy::ReadWrite);
+    // One segment is the n = 1 case of the full pass a view is built
+    // from; its replay must equal a plain (converging) INSPECT, which
+    // never converges early under the unreachable epsilon.
+    for segments in [1, 2] {
+        for device in [Device::SingleCore, Device::Parallel(3)] {
+            let dir = tmp_dir(&format!("replay-{segments}-{:?}", device).replace(['(', ')'], "-"));
+            let reference = cold_reference(device, segments);
+            let (mut session, counting) =
+                session_at(&dir, device, segments, MaterializationPolicy::ReadWrite);
 
-        session.create_view("v", Q).unwrap();
-        assert_eq!(
-            counting.calls(),
-            2 * SEG_LEN.div_ceil(BLOCK),
-            "the build pays the full pass once ({device:?})"
-        );
-        assert_eq!(session.store_stats().view_builds, 1);
-        assert!(session.store_stats().view_bytes_written > 0);
+            session.create_view("v", Q).unwrap();
+            assert_eq!(
+                counting.calls(),
+                segments * SEG_LEN.div_ceil(BLOCK),
+                "the build pays the full pass once ({segments} segments, {device:?})"
+            );
+            assert_eq!(session.store_stats().view_builds, 1);
+            assert!(session.store_stats().view_bytes_written > 0);
 
-        counting.reset();
-        let before = session.store_stats().clone();
-        let table = session.read_view("v").unwrap();
-        let after = session.store_stats();
-        assert_eq!(counting.calls(), 0, "replay does zero forward passes");
-        assert_eq!(
-            after.blocks_read, before.blocks_read,
-            "replay reads zero store blocks ({device:?})"
-        );
-        assert_eq!(
-            after.columns_scanned, before.columns_scanned,
-            "replay scans zero store columns ({device:?})"
-        );
-        assert_eq!(after.view_hits, before.view_hits + 1);
-        assert_eq!(table, reference[0], "replay is bit-identical ({device:?})");
-        let _ = std::fs::remove_dir_all(&dir);
+            counting.reset();
+            let before = session.store_stats().clone();
+            let table = session.read_view("v").unwrap();
+            let after = session.store_stats();
+            assert_eq!(counting.calls(), 0, "replay does zero forward passes");
+            assert_eq!(
+                after.blocks_read, before.blocks_read,
+                "replay reads zero store blocks ({segments} segments, {device:?})"
+            );
+            assert_eq!(
+                after.columns_scanned, before.columns_scanned,
+                "replay scans zero store columns ({segments} segments, {device:?})"
+            );
+            assert_eq!(after.view_hits, before.view_hits + 1);
+            assert_eq!(
+                table, reference[0],
+                "replay is bit-identical ({segments} segments, {device:?})"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 

@@ -152,11 +152,11 @@ pub struct StoreStats {
     /// Extractor forward passes avoided: streamed engine blocks whose
     /// unit behaviors were served entirely from the store.
     pub forward_passes_avoided: usize,
-    /// Segment streams executed by segmented passes (one per dataset
-    /// segment actually streamed; 0 on unsegmented passes). On segmented
-    /// passes the column key's dataset fingerprint is the *segment*
-    /// fingerprint, so warm re-inspection after an append scans old
-    /// segments and extracts only the new ones.
+    /// Segment streams executed by full passes (one per dataset segment
+    /// actually streamed; 0 on converging single-segment passes). The
+    /// column key's dataset fingerprint is the *segment* fingerprint, so
+    /// warm re-inspection after an append scans old segments and
+    /// extracts only the new ones.
     pub segment_passes: usize,
     /// Files deleted by compaction (expired quarantined files, stale
     /// temporaries, partial columns superseded by completed versions).
