@@ -1,10 +1,10 @@
 //! Shared harness utilities for the figure-regeneration binaries.
 //!
-//! Every table and figure of the paper's evaluation (Figs. 1–15 and the
-//! appendix benchmarks) has a binary in `src/bin/` that prints the same
-//! rows/series the paper reports. Defaults are scaled to finish in
-//! seconds–minutes on a laptop; pass `--paper` for paper-scale parameters
-//! (§6.2: 29,696 records, 512 units, 142 rules, 190 hypotheses).
+//! Every table and figure of the paper's evaluation (Figs. 1–15) has a
+//! binary in `src/bin/` that prints the same rows/series the paper
+//! reports. Defaults are scaled to finish in seconds–minutes on a
+//! laptop; pass `--paper` for paper-scale parameters (§6.2: 29,696
+//! records, 512 units, 142 rules, 190 hypotheses).
 
 use deepbase::prelude::*;
 use deepbase::workloads::sql;
@@ -20,43 +20,41 @@ pub struct Args {
     pub scale: f32,
 }
 
+/// Printed on `--help` and on a malformed flag.
+const USAGE: &str = "flags: --paper (full paper scale), --scale X (record multiplier)";
+
 impl Args {
-    /// Parses `--paper` and `--scale X` from `std::env::args`.
+    /// Parses `--paper` and `--scale X` from `std::env::args`. Prints the
+    /// usage line and exits: with status 0 on `--help`, with status 2
+    /// when `--scale` is not followed by a number.
     pub fn parse() -> Args {
+        Args::parse_from(std::env::args().skip(1)).unwrap_or_else(|status| {
+            eprintln!("{USAGE}");
+            std::process::exit(status)
+        })
+    }
+
+    /// Parses flags; `Err(status)` asks the caller to print the usage
+    /// line and exit with that status.
+    fn parse_from(flags: impl IntoIterator<Item = String>) -> Result<Args, i32> {
         let mut args = Args {
             paper: false,
             scale: 1.0,
         };
-        let mut iter = std::env::args().skip(1);
+        let mut iter = flags.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--paper" => args.paper = true,
-                "--scale" => {
-                    args.scale = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale requires a number");
-                }
-                "--help" | "-h" => {
-                    eprintln!("flags: --paper (full paper scale), --scale X (record multiplier)");
-                    std::process::exit(0);
-                }
+                "--scale" => match iter.next().and_then(|v| v.parse().ok()) {
+                    Some(scale) => args.scale = scale,
+                    None => return Err(2),
+                },
+                "--help" | "-h" => return Err(0),
                 other => eprintln!("ignoring unknown flag {other:?}"),
             }
         }
-        args
+        Ok(args)
     }
-}
-
-/// Writes a harness's JSON artifact to `path` and announces it on
-/// stdout — the one emission path every figure binary shares.
-///
-/// # Panics
-/// On I/O failure: a benchmark that cannot persist its artifact should
-/// fail loudly in CI rather than upload nothing.
-pub fn emit_json(path: &str, json: &str) {
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
 }
 
 /// Times a closure.
@@ -210,6 +208,19 @@ mod tests {
             None,
         );
         assert!(profile.records_read > 0);
+    }
+
+    #[test]
+    fn args_parse_flags_and_reject_a_bad_scale() {
+        let parse = |flags: &[&str]| {
+            Args::parse_from(flags.iter().map(|f| f.to_string())).map(|a| (a.paper, a.scale))
+        };
+        assert_eq!(parse(&[]), Ok((false, 1.0)));
+        assert_eq!(parse(&["--paper"]), Ok((true, 1.0)));
+        assert_eq!(parse(&["--scale", "2"]), Ok((false, 2.0)));
+        assert_eq!(parse(&["--paper", "--scale"]), Err(2), "missing value");
+        assert_eq!(parse(&["--scale", "two"]), Err(2), "bad value");
+        assert_eq!(parse(&["--help"]), Err(0));
     }
 
     #[test]

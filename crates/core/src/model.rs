@@ -401,16 +401,17 @@ fn segment_file_name(seq: u64) -> String {
     format!("segment-{seq:06}.seg")
 }
 
-/// Writes `bytes` to `path` atomically: tmp file in the same directory,
-/// flush, then rename over the destination.
+/// Writes `bytes` to `path` atomically through a `tmp.<pid>` file in the
+/// same directory (see [`deepbase_store::write_atomic`]).
 fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<(), DniError> {
     use std::io::Write;
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-    f.write_all(bytes).map_err(|e| io_err("write", &tmp, e))?;
-    f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))
+    deepbase_store::write_atomic(
+        path,
+        &tmp,
+        |f| f.write_all(bytes).map_err(|e| io_err("write", &tmp, e)),
+        |step, e| io_err(step, &tmp, e),
+    )
 }
 
 /// Parses a sealed segment file. Returns `(ns, records)` or `None` on any

@@ -105,6 +105,11 @@ fn behaviors(salt: usize) -> Matrix {
 /// Catalog with one counted model (layers = uid % 2) and two hypothesis
 /// sets over one dataset.
 fn test_catalog(salt: usize) -> (Catalog, Counters) {
+    catalog_over(behaviors(salt))
+}
+
+/// [`test_catalog`] over the given behavior matrix.
+fn catalog_over(behaviors: Matrix) -> (Catalog, Counters) {
     let counters = Counters {
         calls: Arc::new(AtomicUsize::new(0)),
         unit_calls: Arc::new(Mutex::new(Vec::new())),
@@ -114,7 +119,7 @@ fn test_catalog(salt: usize) -> (Catalog, Counters) {
         "m1",
         3,
         Arc::new(CountingExtractor {
-            inner: PrecomputedExtractor::new(behaviors(salt), NS),
+            inner: PrecomputedExtractor::new(behaviors, NS),
             calls: Arc::clone(&counters.calls),
             unit_calls: Arc::clone(&counters.unit_calls),
         }),
@@ -240,6 +245,92 @@ fn warm_store_in_fresh_session_does_zero_forward_passes_and_is_bit_identical() {
             warm.store_stats().forward_passes_avoided,
             stats.forward_passes_avoided
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Zone-map pushdown: the explain estimate, pruned warm scans, bit-exact
+// ---------------------------------------------------------------------
+
+/// `behaviors(1)` with unit 2 pinned to a constant, the way saturated
+/// gates pin whole units: every block of that column is a finite
+/// constant, so a warm scan rebuilds it from the zone map alone.
+fn saturated_behaviors() -> Matrix {
+    let mut m = behaviors(1);
+    for r in 0..m.rows() {
+        m.set(r, 2, 0.5);
+    }
+    m
+}
+
+#[test]
+fn warm_scan_prunes_constant_blocks_explains_the_estimate_and_matches_live() {
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let dir = store_dir(&format!("pushdown-{:?}", device).replace(['(', ')'], "-"));
+        let session = || {
+            let (catalog, counters) = catalog_over(saturated_behaviors());
+            let session = Session::with_config(
+                catalog,
+                SessionConfig {
+                    inspection: config(device),
+                    store: Some(store_config(&dir, MaterializationPolicy::ReadWrite)),
+                    ..SessionConfig::default()
+                },
+            );
+            (session, counters)
+        };
+        let (catalog, _) = catalog_over(saturated_behaviors());
+        let reference = catalog.run_batch(&[Q_ALL], &config(device)).unwrap().tables;
+
+        let (mut cold, _) = session();
+        let out = cold.run_batch(&[Q_ALL]).unwrap();
+        assert_eq!(out.tables, reference, "cold run matches live ({device:?})");
+        let stats = &out.report.store;
+        assert_eq!(
+            stats.columns_written, UNITS,
+            "cold pass materializes every column"
+        );
+        assert!(
+            stats.stored_bytes_written < stats.raw_bytes_written,
+            "the constant unit must compress ({stats:?})"
+        );
+        drop(cold);
+
+        // Fresh process semantics: the plan reads the zone summaries and
+        // estimates the prunable blocks before any scan.
+        let (mut warm, warm_counters) = session();
+        let explain = warm.explain(Q_ALL).unwrap();
+        let (pruned, total) = explain
+            .lines()
+            .find_map(|line| {
+                let estimate = line.split("pruned: ").nth(1)?;
+                let (k, n) = estimate
+                    .strip_suffix(" blocks (zone-map pushdown)")?
+                    .split_once('/')?;
+                Some((k.parse::<usize>().ok()?, n.parse::<usize>().ok()?))
+            })
+            .unwrap_or_else(|| {
+                panic!("explain must render the pushdown estimate, got:\n{explain}")
+            });
+        assert!(pruned > 0 && pruned <= total, "got:\n{explain}");
+
+        let out = warm.run_batch(&[Q_ALL]).unwrap();
+        assert_eq!(
+            out.tables, reference,
+            "pruned warm scan must be bit-identical to live extraction ({device:?})"
+        );
+        assert_eq!(
+            warm_counters.calls(),
+            0,
+            "warm scan runs zero forward passes"
+        );
+        let stats = &out.report.store;
+        assert!(
+            stats.blocks_pruned > 0,
+            "the constant unit guarantees prunable blocks ({stats:?})"
+        );
+        assert!(stats.errors.is_empty(), "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,10 +1,10 @@
 //! Shared demo workload: a char-LSTM catalog with a forward-pass
-//! counter, used by the server binary, the integration tests and the
-//! `fig_server` bench so all three serve exactly the same catalog.
+//! counter, used by the server binary and the integration tests so both
+//! serve exactly the same catalog.
 //!
-//! Mirrors the `fig_store` bench workload (PR 4): 4-symbol sequences,
-//! one LSTM probe model, character-class and position hypotheses — an
-//! extraction-bound batch where a warm behavior store pays.
+//! 4-symbol sequences, one LSTM probe model, character-class and
+//! position hypotheses — an extraction-bound batch where a warm behavior
+//! store pays.
 
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;

@@ -271,7 +271,7 @@ impl StreamingPearson {
     /// Half-width of the Fisher-transform confidence interval around the
     /// current estimate, for the given `z` critical value (1.96 ≈ 95%).
     ///
-    /// The paper's early-stopping criterion compares this against the user
+    /// The paper's early-stopping rule compares this against the user
     /// threshold ε: the transform `z = atanh(r)` is approximately normal
     /// with standard error `1/sqrt(n - 3)`, and the half-width is mapped
     /// back through `tanh`.

@@ -8,7 +8,7 @@
 //! the required statistics from scratch:
 //!
 //! * [`corr`] — Pearson correlation, streaming accumulation, and
-//!   Fisher-transform confidence intervals (the early-stopping criterion).
+//!   Fisher-transform confidence intervals (the early-stopping rule).
 //! * [`mi`] — binned mutual information, univariate and multivariate.
 //! * [`quantile`] — exact and P² streaming quantiles, quantile binning
 //!   (NetDissect-style thresholds).

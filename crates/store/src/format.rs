@@ -807,12 +807,12 @@ pub fn write_column_file(
     covered: Option<&[u8]>,
     access_stamp: u64,
 ) -> Result<WriteSummary, StoreError> {
-    let mut file = File::create(tmp_path)?;
-    let summary = write_column(&mut file, meta, data, covered, access_stamp)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(tmp_path, path)?;
-    Ok(summary)
+    crate::write_atomic(
+        path,
+        tmp_path,
+        |file| write_column(file, meta, data, covered, access_stamp),
+        |_, e| e.into(),
+    )
 }
 
 /// Atomic v2 writer (see [`write_column_v2`]).
@@ -824,12 +824,12 @@ pub fn write_column_file_v2(
     data: &[f32],
     covered: Option<&[u8]>,
 ) -> Result<usize, StoreError> {
-    let mut file = File::create(tmp_path)?;
-    let blocks = write_column_v2(&mut file, meta, data, covered)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(tmp_path, path)?;
-    Ok(blocks)
+    crate::write_atomic(
+        path,
+        tmp_path,
+        |file| write_column_v2(file, meta, data, covered),
+        |_, e| e.into(),
+    )
 }
 
 /// Refreshes a v3 file's access stamp in place (an uncovered 8-byte

@@ -238,6 +238,28 @@ impl StoreStats {
     }
 }
 
+/// Writes a file atomically: create `tmp`, let `write` fill it,
+/// `sync_all`, close, then rename `tmp` over `path`. A crash leaves
+/// either the old `path` or the new one, plus possibly a stray `tmp`
+/// that the caller's open-time sweep removes by its name.
+///
+/// `io_err` maps a failed step (`"create"`, `"sync"` or `"rename"`) into
+/// the caller's error type; `write` reports its own errors. The parent
+/// directory is not fsynced, so the rename itself is not yet durable.
+pub fn write_atomic<T, E>(
+    path: &std::path::Path,
+    tmp: &std::path::Path,
+    write: impl FnOnce(&mut std::fs::File) -> Result<T, E>,
+    io_err: impl Fn(&'static str, std::io::Error) -> E,
+) -> Result<T, E> {
+    let mut file = std::fs::File::create(tmp).map_err(|e| io_err("create", e))?;
+    let out = write(&mut file)?;
+    file.sync_all().map_err(|e| io_err("sync", e))?;
+    drop(file);
+    std::fs::rename(tmp, path).map_err(|e| io_err("rename", e))?;
+    Ok(out)
+}
+
 /// Incremental FNV-1a 64-bit hasher for content fingerprints.
 ///
 /// Deterministic across processes and platforms (unlike

@@ -422,12 +422,15 @@ impl ViewCatalog {
         let path = self.path_of(&doc.name);
         fs::create_dir_all(&self.dir).map_err(|e| StoreError::Io(e.to_string()))?;
         let tmp = path.with_extension(format!("{VIEW_EXT}.tmp.{}", std::process::id()));
-        let mut f = fs::File::create(&tmp).map_err(|e| StoreError::Io(e.to_string()))?;
-        f.write_all(&bytes)
-            .map_err(|e| StoreError::Io(e.to_string()))?;
-        f.sync_all().map_err(|e| StoreError::Io(e.to_string()))?;
-        drop(f);
-        fs::rename(&tmp, &path).map_err(|e| StoreError::Io(e.to_string()))?;
+        crate::write_atomic(
+            &path,
+            &tmp,
+            |f| {
+                f.write_all(&bytes)
+                    .map_err(|e| StoreError::Io(e.to_string()))
+            },
+            |_, e| StoreError::Io(e.to_string()),
+        )?;
         let (len, mtime) = file_identity(&path);
         self.cache.lock().expect("view cache lock").insert(
             doc.name.clone(),

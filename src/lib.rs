@@ -19,9 +19,9 @@
 //!   fan-out and mat-mul calls, so parallel results are always identical
 //!   to `Device::SingleCore`.
 //!
-//! See `examples/` for runnable walkthroughs and `crates/bench` for the
-//! harnesses that regenerate every table and figure of the paper (plus
-//! `bench_smoke`, which emits kernel timings as `BENCH_PR1.json`).
+//! See `examples/` for runnable walkthroughs, `crates/bench` for the
+//! harnesses that regenerate every table and figure of the paper, and
+//! `perfbench/` for the end-to-end and per-layer benchmark.
 
 pub use deepbase;
 pub use deepbase_lang as lang;
